@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import descriptive, report, service
-from .domain import ValidationError
+from .domain import AnomalyEvent, ValidationError
 from .ingest import (
     IngestError,
     InvalidMacFormat,
@@ -24,6 +24,8 @@ from .ingest import (
 from .pipeline import (
     PipelineConfig,
     PipelineError,
+    _write_json,
+    descriptive_artifacts,
     evaluate,
     load_run,
     run_pipeline,
@@ -178,27 +180,15 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_analyze(args) -> int:
     records, _ = _ingest(args)
-    days = descriptive.observed_days(records)
-    aggregates = [descriptive.aggregate_daily(records, day,
-                                              overload_threshold=args.overload_threshold)
-                  for day in days]
-    baseline = descriptive.build_baseline(aggregates)
-    ap_stats = descriptive.ap_load_stats(records, args.overload_threshold)
-    hourly = descriptive.hourly_profile(records)
+    desc = descriptive.describe(records, overload_threshold=args.overload_threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payloads = {
-        "aggregates.json": [a.to_json_dict() for a in aggregates],
-        "baseline.json": baseline.to_json_dict(),
-        "ap_stats.json": [s.to_json_dict() for s in ap_stats],
-        "hourly_profile.json": list(hourly.buckets),
-    }
-    for name, payload in payloads.items():
-        with open(out / name, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    artifacts = descriptive_artifacts(desc.aggregates, desc.baseline, desc.ap_stats,
+                                      desc.hourly.buckets)
+    for name, payload in artifacts.items():
+        _write_json(out / name, payload)
     if not args.quiet:
-        print(f"wrote {len(payloads)} artifacts to {out}", file=sys.stderr)
+        print(f"wrote {len(artifacts)} artifacts to {out}", file=sys.stderr)
     return 0
 
 
@@ -234,23 +224,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .domain import AnomalyEvent, AnomalyType, Detector, Severity
-    from datetime import date
-
     stored = load_run(args.run)
-    anomalies = [
-        AnomalyEvent(
-            day=date.fromisoformat(e["day"]),
-            type=AnomalyType(e["type"]),
-            detector=Detector(e["detector"]),
-            score=e["score"],
-            severity=Severity(e["severity"]) if e.get("severity") else None,
-            evidence=e.get("evidence", {}),
-            device=e.get("device"),
-            ap=e.get("ap"),
-        )
-        for e in stored.anomalies
-    ]
+    anomalies = [AnomalyEvent.from_json_dict(e) for e in stored.anomalies]
     with open(args.labels, "r", encoding="utf-8") as fh:
         truth = GroundTruth.from_json_dict(json.load(fh))
     salt = Salt.from_hex(Path(args.salt_file).read_text()) if args.salt_file \
@@ -274,13 +249,18 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    if not args.quiet:
-        print(f"serving {args.run} on {args.addr}", file=sys.stderr)
     try:
-        service.serve_metrics(args.run, args.addr)
+        server = service.make_server(args.run, args.addr)
     except OSError as e:
         print(f"bind failed: {e}", file=sys.stderr)
         return 2
+    if not args.quiet:
+        host, port = server.server_address[:2]
+        print(f"serving {args.run} on {host}:{port}", file=sys.stderr)
+    try:
+        server.serve_forever()
+    finally:
+        server.server_close()
     return 0
 
 

@@ -1,5 +1,15 @@
-"""Phase 1: daily/hourly aggregation, per-AP load statistics, baseline
-construction, and the user/traffic correlation check.
+"""Phase 1: daily aggregates, per-AP load statistics, the hourly
+concurrency profile, the day-of-week baseline, and the user/traffic
+correlation check.
+
+`describe` is the stage's one entry point; `wlantel run`, `wlantel
+analyze` and the acceptance tests all go through it.  It groups the
+records by local day once and pairs sessions once, over the whole window,
+so a session that crosses local midnight is one session.  A session
+belongs to the local day it starts on.  One concurrency rule, the
+sessions open at each session's start, gives every AP-day's peak (the
+overload counts) and every device-day's overlaps (the duplicate counts and
+the device rules in `detection.rules`).
 
 Everything here is a pure function over immutable validated records, so
 evaluation order (or parallel sharding) cannot change results.
@@ -7,12 +17,14 @@ evaluation order (or parallel sharding) cannot change results.
 
 from __future__ import annotations
 
+import heapq
 import math
 import statistics
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Optional, Sequence
+from datetime import date, datetime, timedelta
+from operator import attrgetter
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .domain import (
     BASELINE_METRICS,
@@ -59,14 +71,23 @@ class ApStats:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
-    """A paired Assoc/Disassoc interval [start, end)."""
+    """A paired Assoc/Disassoc interval [start, end) that began on local
+    day ``day``."""
 
     device: DeviceId
     ap: ApId
     start: datetime
     end: datetime
+    day: date
+
+
+class DeviceDay(NamedTuple):
+    """One device's overlapping sessions on one local day."""
+
+    peak: int        # most sessions held at once, >= 2
+    aps: frozenset   # ApIds held at once with another AP; empty if every overlap was on one AP
 
 
 @dataclass(frozen=True)
@@ -83,76 +104,145 @@ class HourlyProfile:
         return max(range(24), key=lambda h: self.buckets[h])
 
 
-def pair_sessions(records: Iterable[SessionRecord]) -> list[Session]:
-    """Pair Assoc with the next Disassoc per (device, ap), FIFO in time.
+@dataclass(frozen=True)
+class Description:
+    """The descriptive stage's products for one window of records."""
+
+    aggregates: tuple        # one DailyAggregate per observed day, in order
+    baseline: BaselineProfile
+    ap_stats: tuple          # ApStats, busiest AP first
+    hourly: HourlyProfile
+    device_days: dict        # (DeviceId, day) -> DeviceDay, overlapping device-days only
+
+
+def describe(records: Sequence[SessionRecord],
+             overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD,
+             short_session_minutes: float = DEFAULT_SHORT_SESSION_MINUTES) -> Description:
+    """Run the whole descriptive stage over one window of records."""
+    by_day = group_by_day(records)
+    days = observed_days(by_day)
+    sessions = pair_sessions(by_day)
+    peaks = ap_day_peaks(sessions)
+    overlaps = device_overlaps(sessions)
+    overloaded = Counter(day for (_, day), peak in peaks.items() if peak > overload_threshold)
+    duplicates = Counter(day for _, day in overlaps)
+    aggregates = tuple(
+        aggregate_daily(by_day.get(day, ()), day, overloaded[day], duplicates[day],
+                        short_session_minutes=short_session_minutes)
+        for day in days
+    )
+    return Description(
+        aggregates=aggregates,
+        baseline=build_baseline(aggregates),
+        ap_stats=tuple(ap_load_stats(records, peaks, overload_threshold)),
+        hourly=hourly_profile(sessions, days),
+        device_days=overlaps,
+    )
+
+
+def group_by_day(records: Iterable[SessionRecord]) -> dict:
+    """Records by local day, in input order; the one place a record's
+    local day is computed."""
+    by_day: dict = defaultdict(list)
+    for r in records:
+        by_day[r.local_day()].append(r)
+    return by_day
+
+
+def observed_days(days: Iterable[date]) -> list[date]:
+    """Inclusive local-day range spanned by ``days``."""
+    days = list(days)
+    if not days:
+        return []
+    first, last = min(days), max(days)
+    return [first + timedelta(days=i) for i in range((last - first).days + 1)]
+
+
+def pair_sessions(by_day: Mapping[date, Sequence[SessionRecord]]) -> list[Session]:
+    """Pair Assoc with the next Disassoc per (device, ap), FIFO in time,
+    across the whole window of ``group_by_day`` output.
 
     An Assoc with no matching Disassoc stays open until the last timestamp
     seen.  A Disassoc with no open Assoc is dropped (session began before
     the window).
     """
-    events = sorted(
-        (r for r in records if r.kind in (EventKind.ASSOC, EventKind.DISASSOC)),
-        key=lambda r: r.ts,
-    )
     open_assocs: dict = defaultdict(list)
     sessions: list[Session] = []
     last_ts = None
-    for r in events:
-        last_ts = r.ts
-        key = (r.device, r.ap)
-        if r.kind is EventKind.ASSOC:
-            open_assocs[key].append(r.ts)
-        else:
-            if open_assocs[key]:
-                start = open_assocs[key].pop(0)
-                sessions.append(Session(r.device, r.ap, start, r.ts))
+    # Days partition time, so day by day in time order is one global order.
+    for day in sorted(by_day):
+        events = sorted((r for r in by_day[day]
+                         if r.kind in (EventKind.ASSOC, EventKind.DISASSOC)),
+                        key=lambda r: r.ts)
+        for r in events:
+            last_ts = r.ts
+            key = (r.device, r.ap)
+            if r.kind is EventKind.ASSOC:
+                open_assocs[key].append((r.ts, day))
+            elif open_assocs[key]:
+                start, start_day = open_assocs[key].pop(0)
+                sessions.append(Session(r.device, r.ap, start, r.ts, start_day))
     if last_ts is not None:
         for (device, ap), starts in open_assocs.items():
-            for start in starts:
-                sessions.append(Session(device, ap, start, last_ts))
+            for start, start_day in starts:
+                sessions.append(Session(device, ap, start, last_ts, start_day))
     sessions.sort(key=lambda s: (s.start, s.ap.value, s.device.value))
     return sessions
 
 
-def _peak_concurrent(events: Sequence[SessionRecord]) -> int:
-    """Sweep Assoc(+1)/Disassoc(-1) in time order; ties release first."""
-    deltas = sorted(
-        ((r.ts, -1 if r.kind is EventKind.DISASSOC else +1)
-         for r in events if r.kind in (EventKind.ASSOC, EventKind.DISASSOC)),
-        key=lambda t: t,
-    )
-    peak = cur = 0
-    for _, d in deltas:
-        cur += d
-        peak = max(peak, cur)
-    return peak
-
-
-def _overlap_devices(sessions: Sequence[Session]) -> set:
-    """Devices holding two time-overlapping sessions (intervals [s, e))."""
-    by_device: dict = defaultdict(list)
+def _open_at_starts(sessions: Iterable[Session], group):
+    """Within each group of sessions sharing ``group(session)``, yield every
+    session with the group's sessions open at its start, itself included:
+    those that began no later and end after it begins.  A session that
+    ends at the instant another begins is closed first."""
+    groups: dict = defaultdict(list)
     for s in sessions:
-        by_device[s.device].append(s)
-    flagged = set()
-    for device, devs in by_device.items():
-        devs.sort(key=lambda s: s.start)
-        latest_end = None
-        for s in devs:
-            if latest_end is not None and s.start < latest_end:
-                flagged.add(device)
-                break
-            latest_end = s.end if latest_end is None else max(latest_end, s.end)
-    return flagged
+        groups[group(s)].append(s)
+    for members in groups.values():
+        members.sort(key=lambda s: (s.start, s.end))
+        held: list = []  # heap of (end, order, session)
+        for i, s in enumerate(members):
+            while held and held[0][0] <= s.start:
+                heapq.heappop(held)
+            heapq.heappush(held, (s.end, i, s))
+            yield s, held
+
+
+def ap_day_peaks(sessions: Iterable[Session]) -> dict:
+    """(ApId, day) -> most sessions open on the AP at once, counted at the
+    starts of the sessions that began that day."""
+    peaks: dict = {}
+    for s, held in _open_at_starts(sessions, attrgetter("ap")):
+        key = (s.ap, s.day)
+        peaks[key] = max(peaks.get(key, 0), len(held))
+    return peaks
+
+
+def device_overlaps(sessions: Iterable[Session]) -> dict:
+    """(DeviceId, day) -> DeviceDay for every device-day on which a session
+    began while another of the device's sessions was open, on any AP."""
+    peaks: dict = {}
+    aps: dict = defaultdict(set)
+    for s, held in _open_at_starts(sessions, attrgetter("device")):
+        if len(held) < 2:
+            continue
+        key = (s.device, s.day)
+        peaks[key] = max(peaks.get(key, 0), len(held))
+        other_aps = {h.ap for _, _, h in held if h.ap != s.ap}
+        if other_aps:
+            aps[key] |= other_aps | {s.ap}
+    return {key: DeviceDay(peak, frozenset(aps.get(key, ()))) for key, peak in peaks.items()}
 
 
 def aggregate_daily(records: Iterable[SessionRecord], day: date,
-                    overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD,
+                    aps_overloaded: int, duplicate_devices: int,
                     short_session_minutes: float = DEFAULT_SHORT_SESSION_MINUTES) -> DailyAggregate:
     """Collapse one local day's records into a DailyAggregate.
 
-    An empty day yields the zero aggregate.
+    ``aps_overloaded`` and ``duplicate_devices`` are the day's counts of
+    overloaded APs and overlapping devices, from its sessions.  An empty
+    day yields the zero aggregate.
     """
-    day_records = [r for r in records if r.local_day() == day]
     connections = 0
     auth_failures = 0
     session_minutes_sum = 0.0
@@ -160,12 +250,12 @@ def aggregate_daily(records: Iterable[SessionRecord], day: date,
     unexpected = 0
     proto_bytes: dict = {p: 0 for p in Protocol}
     devices = set()
-    by_ap: dict = defaultdict(list)
+    aps = set()
 
-    for r in day_records:
+    for r in records:
         if r.kind is not EventKind.AP_HEALTH:
             devices.add(r.device)
-        by_ap[r.ap].append(r)
+        aps.add(r.ap)
         if r.kind is EventKind.ASSOC:
             connections += 1
         elif r.kind is EventKind.AUTH_FAIL:
@@ -184,14 +274,7 @@ def aggregate_daily(records: Iterable[SessionRecord], day: date,
         if total_bytes > 0 else {p: 0.0 for p in Protocol}
     )
 
-    aps_seen = len(by_ap)
-    aps_overloaded = sum(
-        1 for ap_records in by_ap.values()
-        if _peak_concurrent(ap_records) > overload_threshold
-    )
-
-    duplicates = len(_overlap_devices(pair_sessions(day_records)))
-
+    aps_seen = len(aps)
     return DailyAggregate(
         day=day,
         connections=connections,
@@ -202,7 +285,7 @@ def aggregate_daily(records: Iterable[SessionRecord], day: date,
         traffic_gb=total_bytes / 10**9,
         overload_pct=100.0 * aps_overloaded / aps_seen if aps_seen else 0.0,
         proto_share=proto_share,
-        duplicate_device_events=duplicates,
+        duplicate_device_events=duplicate_devices,
         sessions_ended=sessions_ended,
         proto_bytes=proto_bytes,
         aps_seen=aps_seen,
@@ -210,102 +293,53 @@ def aggregate_daily(records: Iterable[SessionRecord], day: date,
     )
 
 
-def merge_daily(a: DailyAggregate, b: DailyAggregate) -> DailyAggregate:
-    """Merge two same-day aggregates built over disjoint record shards.
-
-    Additive fields merge for any record partition; overload and duplicate
-    counts merge exactly only when shards are AP-disjoint (overload) resp.
-    device-disjoint (duplicates), since those need the full per-AP / per-
-    device event streams.
-    """
-    if a.day != b.day:
-        raise ValueError("can only merge aggregates of the same day")
-    proto_bytes = {p: a.proto_bytes.get(p, 0) + b.proto_bytes.get(p, 0) for p in Protocol}
-    total_bytes = sum(proto_bytes.values())
-    sessions_ended = a.sessions_ended + b.sessions_ended
-    minutes_sum = (a.mean_session_minutes * a.sessions_ended
-                   + b.mean_session_minutes * b.sessions_ended)
-    aps_seen = a.aps_seen + b.aps_seen
-    aps_overloaded = a.aps_overloaded + b.aps_overloaded
-    return DailyAggregate(
-        day=a.day,
-        connections=a.connections + b.connections,
-        distinct_devices=a.distinct_devices + b.distinct_devices,
-        mean_session_minutes=minutes_sum / sessions_ended if sessions_ended else 0.0,
-        auth_failures=a.auth_failures + b.auth_failures,
-        unexpected_disconnects=a.unexpected_disconnects + b.unexpected_disconnects,
-        traffic_gb=total_bytes / 10**9,
-        overload_pct=100.0 * aps_overloaded / aps_seen if aps_seen else 0.0,
-        proto_share=({p: bts / total_bytes for p, bts in proto_bytes.items()}
-                     if total_bytes > 0 else {p: 0.0 for p in Protocol}),
-        duplicate_device_events=a.duplicate_device_events + b.duplicate_device_events,
-        sessions_ended=sessions_ended,
-        proto_bytes=proto_bytes,
-        aps_seen=aps_seen,
-        aps_overloaded=aps_overloaded,
-    )
-
-
-def observed_days(records: Sequence[SessionRecord]) -> list[date]:
-    """Inclusive local-day range spanned by the records."""
-    if not records:
-        return []
-    days = [r.local_day() for r in records]
-    first, last = min(days), max(days)
-    return [first + timedelta(days=i) for i in range((last - first).days + 1)]
-
-
-def ap_load_stats(records: Sequence[SessionRecord],
+def ap_load_stats(records: Iterable[SessionRecord], day_peaks: Mapping,
                   overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD) -> list[ApStats]:
-    """Per-AP connection counts, concurrency peaks, and health means."""
-    by_ap: dict = defaultdict(list)
+    """Per-AP connection counts, concurrency peaks, and health means;
+    ``day_peaks`` is `ap_day_peaks` of the same records' sessions."""
+    aps = set()
+    connections: Counter = Counter()
+    latencies: dict = defaultdict(list)
+    losses: dict = defaultdict(list)
     for r in records:
-        by_ap[r.ap].append(r)
+        aps.add(r.ap)
+        if r.kind is EventKind.ASSOC:
+            connections[r.ap] += 1
+        elif r.kind is EventKind.AP_HEALTH:
+            latencies[r.ap].append(r.latency_ms)
+            losses[r.ap].append(r.loss_pct)
 
-    stats = []
-    for ap in sorted(by_ap, key=lambda a: a.value):
-        ap_records = by_ap[ap]
-        connections = sum(1 for r in ap_records if r.kind is EventKind.ASSOC)
-        latencies = [r.latency_ms for r in ap_records if r.kind is EventKind.AP_HEALTH]
-        losses = [r.loss_pct for r in ap_records if r.kind is EventKind.AP_HEALTH]
-        by_day: dict = defaultdict(list)
-        for r in ap_records:
-            by_day[r.local_day()].append(r)
-        overloaded_days = sum(
-            1 for day_records in by_day.values()
-            if _peak_concurrent(day_records) > overload_threshold
-        )
-        stats.append(ApStats(
+    peak: Counter = Counter()
+    overloaded_days: Counter = Counter()
+    for (ap, _), n in day_peaks.items():
+        peak[ap] = max(peak[ap], n)
+        if n > overload_threshold:
+            overloaded_days[ap] += 1
+
+    stats = [
+        ApStats(
             ap=ap,
-            monthly_connections=connections,
-            peak_concurrent=_peak_concurrent(ap_records),
-            mean_latency_ms=statistics.fmean(latencies) if latencies else None,
-            mean_loss_pct=statistics.fmean(losses) if losses else None,
-            overloaded_days=overloaded_days,
-        ))
+            monthly_connections=connections[ap],
+            peak_concurrent=peak[ap],
+            mean_latency_ms=statistics.fmean(latencies[ap]) if latencies[ap] else None,
+            mean_loss_pct=statistics.fmean(losses[ap]) if losses[ap] else None,
+            overloaded_days=overloaded_days[ap],
+        )
+        for ap in aps
+    ]
     stats.sort(key=lambda s: (-s.monthly_connections, s.ap.value))
     return stats
 
 
-def overload_fraction(ap_stats: Sequence[ApStats], threshold: int = DEFAULT_OVERLOAD_THRESHOLD) -> float:
-    """Percentage of APs whose window peak concurrency exceeds threshold."""
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    if not ap_stats:
-        return 0.0
-    over = sum(1 for s in ap_stats if s.peak_concurrent > threshold)
-    return 100.0 * over / len(ap_stats)
-
-
-def hourly_profile(records: Sequence[SessionRecord]) -> HourlyProfile:
+def hourly_profile(sessions: Iterable[Session], days: Sequence[date]) -> HourlyProfile:
     """Mean concurrent connections at the top of each local hour, averaged
-    over the observed day range."""
-    days = observed_days(records)
+    over ``days``, the observed day range.  A session counts at each hour
+    mark in [start, end), on that mark's own day."""
     if not days:
         return HourlyProfile(buckets=tuple([0.0] * 24))
 
     counts: dict = defaultdict(int)  # (local day, hour) -> concurrency
-    for s in pair_sessions(records):
+    for s in sessions:
         start_local = s.start.astimezone(LOCAL_TZ)
         end_local = s.end.astimezone(LOCAL_TZ)
         mark = start_local.replace(minute=0, second=0, microsecond=0)

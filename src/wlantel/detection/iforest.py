@@ -50,29 +50,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.split_dim is None
 
-    def to_json_dict(self) -> dict:
-        if self.is_leaf:
-            return {"size": self.size}
-        return {
-            "size": self.size,
-            "dim": self.split_dim,
-            "value": self.split_value,
-            "left": self.left.to_json_dict(),
-            "right": self.right.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TreeNode":
-        if "dim" not in d:
-            return cls(size=d["size"])
-        return cls(
-            size=d["size"],
-            split_dim=d["dim"],
-            split_value=d["value"],
-            left=cls.from_json_dict(d["left"]),
-            right=cls.from_json_dict(d["right"]),
-        )
-
 
 @dataclass(frozen=True)
 class ForestModel:
@@ -80,28 +57,6 @@ class ForestModel:
     n_trees: int
     subsample_size: int  # effective size used for both depth cap and scoring
     seed: int
-
-    FORMAT_VERSION = 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": self.FORMAT_VERSION,
-            "n_trees": self.n_trees,
-            "subsample_size": self.subsample_size,
-            "seed": self.seed,
-            "trees": [t.to_json_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ForestModel":
-        if d.get("format_version") != cls.FORMAT_VERSION:
-            raise ValueError(f"unsupported model format {d.get('format_version')!r}")
-        return cls(
-            trees=tuple(TreeNode.from_json_dict(t) for t in d["trees"]),
-            n_trees=d["n_trees"],
-            subsample_size=d["subsample_size"],
-            seed=d["seed"],
-        )
 
 
 def _build_tree(points: list, depth: int, max_depth: int, rng: random.Random) -> TreeNode:

@@ -3,19 +3,17 @@ traffic share deviations."""
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Mapping
 
-from ..descriptive import pair_sessions
+# bench/tracer.py patches pair_sessions here as well, so the name must stay.
+from ..descriptive import pair_sessions  # noqa: F401
 from ..domain import (
-    LOCAL_TZ,
     AnomalyEvent,
     AnomalyType,
     BaselineProfile,
     DailyAggregate,
     Detector,
     Protocol,
-    SessionRecord,
 )
 
 from .features import STD_FLOOR
@@ -24,41 +22,22 @@ from .thresholds import DEFAULT_K
 DEFAULT_MAX_CONCURRENT = 3
 
 
-def detect_duplicate_devices(records: Iterable[SessionRecord],
+def detect_duplicate_devices(device_days: Mapping,
                              max_concurrent: int = DEFAULT_MAX_CONCURRENT) -> list[AnomalyEvent]:
     """Flag devices with more than max_concurrent overlapping sessions
     (SimultaneousConnections) and devices with overlapping sessions on two
     or more distinct APs (DuplicateDevice).
 
+    ``device_days`` is `descriptive.device_overlaps` of the run's sessions.
     One event per (device, day, type); score is the concurrency reached
     resp. the number of APs held concurrently.
     """
     if max_concurrent < 1:
         raise ValueError("max_concurrent must be >= 1")
 
-    by_device: dict = defaultdict(list)
-    for s in pair_sessions(records):
-        by_device[s.device].append(s)
-
     events = []
-    for device in sorted(by_device, key=lambda d: d.value):
-        sessions = sorted(by_device[device], key=lambda s: (s.start, s.end))
-        # (day -> peak concurrency) and (day -> APs held concurrently)
-        simult: dict = {}
-        dup_aps: dict = defaultdict(set)
-        active: list = []  # (end, ap) of open sessions
-        for s in sessions:
-            active = [(end, ap) for end, ap in active if end > s.start]
-            other_aps = {ap for _, ap in active if ap != s.ap}
-            day = s.start.astimezone(LOCAL_TZ).date()
-            if other_aps:
-                dup_aps[day] |= other_aps | {s.ap}
-            active.append((s.end, s.ap))
-            concurrency = len(active)
-            if concurrency > max_concurrent:
-                simult[day] = max(simult.get(day, 0), concurrency)
-
-        for day, peak in sorted(simult.items()):
+    for (device, day), (peak, aps) in device_days.items():
+        if peak > max_concurrent:
             events.append(AnomalyEvent(
                 day=day,
                 type=AnomalyType.SIMULTANEOUS_CONNECTIONS,
@@ -72,7 +51,7 @@ def detect_duplicate_devices(records: Iterable[SessionRecord],
                             f"(limit {max_concurrent})",
                 },
             ))
-        for day, aps in sorted(dup_aps.items()):
+        if aps:
             events.append(AnomalyEvent(
                 day=day,
                 type=AnomalyType.DUPLICATE_DEVICE,

@@ -188,13 +188,11 @@ def _parse_ts(raw) -> datetime:
     return ts.astimezone(timezone.utc).replace(microsecond=0)
 
 
-def validate(raw: dict, window: Optional[tuple[date, date]] = None) -> SessionRecord:
+def validate(raw: dict) -> SessionRecord:
     """Validate a raw (already anonymized) record dict into a SessionRecord.
 
     Raises FieldMissing / FieldOutOfRange / UnknownEventKind naming the
-    first violated invariant and the offending field.  ``window``, when
-    given, is the inclusive (first_day, last_day) observation window in
-    local time.
+    first violated invariant and the offending field.
     """
     for f in ("ts", "device", "ap", "kind"):
         if raw.get(f) in (None, ""):
@@ -247,11 +245,6 @@ def validate(raw: dict, window: Optional[tuple[date, date]] = None) -> SessionRe
             raise FieldOutOfRange("loss_pct", "must lie in [0, 100]")
         kwargs["latency_ms"] = lat
         kwargs["loss_pct"] = loss
-
-    if window is not None:
-        local_day = ts.astimezone(LOCAL_TZ).date()
-        if not (window[0] <= local_day <= window[1]):
-            raise FieldOutOfRange("ts", f"outside observation window {window[0]}..{window[1]}")
 
     return SessionRecord(ts=ts, device=device, ap=ap, kind=kind, **kwargs)
 
@@ -399,6 +392,19 @@ class AnomalyEvent:
             "device": self.device,
             "ap": self.ap,
         }
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "AnomalyEvent":
+        return cls(
+            day=date.fromisoformat(d["day"]),
+            type=AnomalyType(d["type"]),
+            detector=Detector(d["detector"]),
+            score=d["score"],
+            severity=Severity(d["severity"]) if d.get("severity") else None,
+            evidence=d.get("evidence", {}),
+            device=d.get("device"),
+            ap=d.get("ap"),
+        )
 
 
 @dataclass(frozen=True)

@@ -131,25 +131,15 @@ def run_pipeline(records: Sequence[SessionRecord],
     digest = staged("digest", lambda: input_digest(records))
 
     def _descriptive():
-        days = descriptive.observed_days(records)
-        if len(days) < 7:
-            raise InsufficientData(f"need >= 7 days of records, got {len(days)}")
-        by_day: dict = defaultdict(list)
-        for r in records:
-            by_day[r.local_day()].append(r)
-        aggregates = [
-            descriptive.aggregate_daily(
-                by_day.get(day, []), day,
-                overload_threshold=config.overload_threshold,
-                short_session_minutes=config.short_session_minutes)
-            for day in days
-        ]
-        baseline = descriptive.build_baseline(aggregates)
-        ap_stats = descriptive.ap_load_stats(records, config.overload_threshold)
-        hourly = descriptive.hourly_profile(records)
-        return aggregates, baseline, ap_stats, hourly
+        desc = descriptive.describe(records, config.overload_threshold,
+                                    config.short_session_minutes)
+        if len(desc.aggregates) < 7:
+            raise InsufficientData(
+                f"need >= 7 days of records, got {len(desc.aggregates)}")
+        return desc
 
-    aggregates, baseline, ap_stats, hourly = staged("descriptive", _descriptive)
+    desc = staged("descriptive", _descriptive)
+    aggregates, baseline = desc.aggregates, desc.baseline
 
     def _detection():
         events: list[AnomalyEvent] = []
@@ -165,7 +155,7 @@ def run_pipeline(records: Sequence[SessionRecord],
             others = aggregates[:i] + aggregates[i + 1:]
             events.extend(protocol_anomaly(
                 agg, descriptive.build_baseline(others), k=config.k))
-        events.extend(detect_duplicate_devices(records, config.max_concurrent))
+        events.extend(detect_duplicate_devices(desc.device_days, config.max_concurrent))
 
         features = build_features(aggregates, baseline)
         points = [f.values for f in features]
@@ -198,7 +188,7 @@ def run_pipeline(records: Sequence[SessionRecord],
 
     def _prescriptive():
         from .prescriptive import recommend
-        return recommend(anomalies, ap_stats, aggregates, baseline,
+        return recommend(anomalies, desc.ap_stats, aggregates, baseline,
                          latency_bound_ms=config.latency_bound_ms,
                          loss_bound_pct=config.loss_bound_pct,
                          flag_rule=config.flag_rule, k=config.k)
@@ -210,10 +200,10 @@ def run_pipeline(records: Sequence[SessionRecord],
         created=datetime.now(timezone.utc).isoformat(),
         input_digest=digest,
         config=config,
-        aggregates=tuple(aggregates),
+        aggregates=aggregates,
         baseline=baseline,
-        ap_stats=tuple(ap_stats),
-        hourly_profile=hourly.buckets,
+        ap_stats=desc.ap_stats,
+        hourly_profile=desc.hourly.buckets,
         anomalies=tuple(sorted(anomalies, key=lambda e: (
             e.day, e.type.value, e.detector.value, e.device or "", e.ap or ""))),
         recommendations=tuple(recommendations),
@@ -233,10 +223,8 @@ def save_run(run: AnalysisRun, rundir: str) -> None:
 
     event_index = {id(e): i for i, e in enumerate(run.anomalies)}
     artifacts = {
-        "aggregates.json": [a.to_json_dict() for a in run.aggregates],
-        "baseline.json": run.baseline.to_json_dict(),
-        "ap_stats.json": [s.to_json_dict() for s in run.ap_stats],
-        "hourly_profile.json": list(run.hourly_profile),
+        **descriptive_artifacts(run.aggregates, run.baseline, run.ap_stats,
+                                run.hourly_profile),
         "anomalies.json": [e.to_json_dict() for e in run.anomalies],
         "recommendations.json": [r.to_json_dict(event_index) for r in run.recommendations],
         "daily_anomaly_counts.json": {d.isoformat(): c
@@ -253,6 +241,19 @@ def save_run(run: AnalysisRun, rundir: str) -> None:
         "timings": run.timings,
         "artifacts": sorted(artifacts),
     })
+
+
+def descriptive_artifacts(aggregates: Sequence[DailyAggregate],
+                          baseline: BaselineProfile, ap_stats: Sequence[ApStats],
+                          hourly_profile: Sequence[float]) -> dict:
+    """The descriptive stage's artifacts by file name, as both `run` and
+    `analyze` write them."""
+    return {
+        "aggregates.json": [a.to_json_dict() for a in aggregates],
+        "baseline.json": baseline.to_json_dict(),
+        "ap_stats.json": [s.to_json_dict() for s in ap_stats],
+        "hourly_profile.json": list(hourly_profile),
+    }
 
 
 def _write_json(path: Path, payload) -> None:

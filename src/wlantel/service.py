@@ -1,8 +1,9 @@
 """Read-only metrics/alerts service over a sealed run directory.
 
 Endpoints: /metrics (line-oriented text exposition), /alerts (anomaly list
-as JSON), /healthz (liveness).  The snapshot is loaded once at startup and
-never mutated; concurrent readers are served from threads.
+as JSON), /healthz (liveness), matched without their query string.  The
+snapshot is loaded and every reply body rendered once at startup; concurrent
+readers are served from threads.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 from .pipeline import StoredRun, load_run
 
@@ -36,27 +38,21 @@ def metrics_exposition(run: StoredRun) -> str:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    run: StoredRun = None  # injected by make_server
+    routes: dict = {}  # path -> (content type, body bytes); set by make_server
 
     def do_GET(self):  # noqa: N802 (http.server API)
-        if self.path == "/healthz":
-            self._reply(200, "text/plain; charset=utf-8", "ok\n")
-        elif self.path == "/metrics":
-            self._reply(200, "text/plain; charset=utf-8",
-                        metrics_exposition(self.run))
-        elif self.path == "/alerts":
-            self._reply(200, "application/json",
-                        json.dumps(self.run.anomalies) + "\n")
+        route = self.routes.get(urlsplit(self.path).path)
+        if route is None:
+            self._reply(404, "text/plain; charset=utf-8", b"not found\n")
         else:
-            self._reply(404, "text/plain; charset=utf-8", "not found\n")
+            self._reply(200, *route)
 
     def do_POST(self):  # noqa: N802
-        self._reply(405, "text/plain; charset=utf-8", "read-only service\n")
+        self._reply(405, "text/plain; charset=utf-8", b"read-only service\n")
 
     do_PUT = do_DELETE = do_PATCH = do_POST
 
-    def _reply(self, status: int, content_type: str, body: str):
-        payload = body.encode("utf-8")
+    def _reply(self, status: int, content_type: str, payload: bytes):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
@@ -70,16 +66,15 @@ class _Handler(BaseHTTPRequestHandler):
 def make_server(rundir: str, addr: str = "127.0.0.1:8080") -> ThreadingHTTPServer:
     host, _, port = addr.rpartition(":")
     snapshot = load_run(rundir)
-    handler = type("RunHandler", (_Handler,), {"run": snapshot})
+    text = "text/plain; charset=utf-8"
+    routes = {
+        "/healthz": (text, b"ok\n"),
+        "/metrics": (text, metrics_exposition(snapshot).encode("utf-8")),
+        "/alerts": ("application/json",
+                    (json.dumps(snapshot.anomalies) + "\n").encode("utf-8")),
+    }
+    handler = type("RunHandler", (_Handler,), {"routes": routes})
     return ThreadingHTTPServer((host or "127.0.0.1", int(port)), handler)
-
-
-def serve_metrics(rundir: str, addr: str = "127.0.0.1:8080") -> None:
-    server = make_server(rundir, addr)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
 
 
 def start_background(rundir: str, addr: str = "127.0.0.1:0") -> tuple[ThreadingHTTPServer, threading.Thread]:

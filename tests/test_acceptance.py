@@ -65,11 +65,8 @@ def seed_summaries(salt):
         t0 = time.perf_counter()
         raw, _ = generate_month(SimConfig(), seed=seed)
         records = list(ingest_records(enumerate(raw, start=1), salt))
-        days = descriptive.observed_days(records)
-        aggregates = [descriptive.aggregate_daily(records, day) for day in days]
-        hourly = descriptive.hourly_profile(records)
-        ap_stats = descriptive.ap_load_stats(records)
-        baseline = descriptive.build_baseline(aggregates)
+        desc = descriptive.describe(records)
+        aggregates, hourly = desc.aggregates, desc.hourly
         seconds = time.perf_counter() - t0
 
         conns = [a.connections for a in aggregates]
@@ -77,8 +74,8 @@ def seed_summaries(salt):
         downstream = json.dumps(
             [r.to_json_dict() for r in records]
             + [a.to_json_dict() for a in aggregates]
-            + [s.to_json_dict() for s in ap_stats]
-            + [baseline.to_json_dict(), list(hourly.buckets)])
+            + [s.to_json_dict() for s in desc.ap_stats]
+            + [desc.baseline.to_json_dict(), list(hourly.buckets)])
         summaries.append(SeedSummary(
             seed=seed,
             mean_connections=statistics.fmean(conns),

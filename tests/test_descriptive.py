@@ -1,5 +1,5 @@
 """Daily aggregation, session pairing, AP statistics, hourly profile,
-baselines, and correlation."""
+baselines, correlation, and the descriptive stage that shares them."""
 
 from __future__ import annotations
 
@@ -12,19 +12,26 @@ from hypothesis import strategies as st
 
 from wlantel import descriptive
 from wlantel.descriptive import (
+    DeviceDay,
     HourlyProfile,
     InsufficientData,
     ZeroVariance,
     aggregate_daily,
+    ap_day_peaks,
     ap_load_stats,
     build_baseline,
     correlation,
+    describe,
+    device_overlaps,
+    group_by_day,
     hourly_profile,
-    merge_daily,
     observed_days,
     pair_sessions,
 )
+from wlantel.detection.rules import detect_duplicate_devices
 from wlantel.domain import (
+    AnomalyType,
+    ApId,
     DailyAggregate,
     DeviceId,
     MIN_BASELINE_DAYS,
@@ -58,26 +65,42 @@ def session(device, ap, start_h, end_h, day=DAY):
                 session_minutes=minutes)]
 
 
+def sessions_of(records):
+    return pair_sessions(group_by_day(records))
+
+
+def described(records, **kwargs):
+    """describe() over records on DAY onward, padded with one record on
+    DAY + 4 so the window holds the five days a baseline needs."""
+    pad = [rec("auth_fail", ts(9, day=DAY + timedelta(days=4)), 99)]
+    return describe(records + pad, **kwargs)
+
+
+def day_aggregate(records, day=DAY, **kwargs):
+    """The aggregate describe() builds for ``day``."""
+    return next(a for a in described(records, **kwargs).aggregates if a.day == day)
+
+
 class TestPairSessions:
     def test_fifo_pairing_per_device_ap(self):
         records = session(1, "AP-101", 9, 10) + session(1, "AP-101", 11, 12)
-        sessions = pair_sessions(records)
+        sessions = sessions_of(records)
         assert len(sessions) == 2
         assert sessions[0].end < sessions[1].start
 
     def test_unmatched_assoc_stays_open_to_last_ts(self):
         records = [rec("assoc", ts(9))] + session(2, "AP-102", 10, 14)
-        sessions = pair_sessions(records)
+        sessions = sessions_of(records)
         open_session = next(s for s in sessions if s.device == DeviceId(dev(0)))
         assert open_session.end == max(r.ts for r in records)
 
     def test_unmatched_disassoc_dropped(self):
         records = [rec("disassoc", ts(9), session_minutes=30.0)]
-        assert pair_sessions(records) == []
+        assert sessions_of(records) == []
 
     def test_interleaved_devices_do_not_cross(self):
         records = session(1, "AP-101", 9, 11) + session(2, "AP-101", 10, 12)
-        sessions = pair_sessions(records)
+        sessions = sessions_of(records)
         by_dev = {s.device.value: s for s in sessions}
         assert (by_dev[dev(1)].end - by_dev[dev(1)].start) == timedelta(hours=2)
         assert (by_dev[dev(2)].end - by_dev[dev(2)].start) == timedelta(hours=2)
@@ -85,7 +108,7 @@ class TestPairSessions:
 
 class TestAggregateDaily:
     def test_empty_day_is_zero_aggregate(self):
-        agg = aggregate_daily([], DAY)
+        agg = aggregate_daily((), DAY, 0, 0)
         assert agg.connections == 0
         assert agg.traffic_gb == 0.0
         assert agg.overload_pct == 0.0
@@ -93,7 +116,7 @@ class TestAggregateDaily:
     def test_counts_and_means(self):
         records = (session(1, "AP-101", 9, 10) + session(2, "AP-101", 9, 11)
                    + [rec("auth_fail", ts(9), 3)])
-        agg = aggregate_daily(records, DAY)
+        agg = day_aggregate(records)
         assert agg.connections == 2
         assert agg.distinct_devices == 3
         assert agg.auth_failures == 1
@@ -101,7 +124,7 @@ class TestAggregateDaily:
 
     def test_short_disassoc_counts_unexpected(self):
         records = [rec("disassoc", ts(9), session_minutes=0.4)]
-        agg = aggregate_daily(records, DAY)
+        agg = day_aggregate(records)
         assert agg.unexpected_disconnects == 1
 
     def test_traffic_shares_by_bytes(self):
@@ -109,7 +132,7 @@ class TestAggregateDaily:
             rec("traffic", ts(9), 1, bytes_up=0, bytes_down=3 * 10**9, proto="https"),
             rec("traffic", ts(10), 2, bytes_up=10**9, bytes_down=0, proto="dns"),
         ]
-        agg = aggregate_daily(records, DAY)
+        agg = day_aggregate(records)
         assert agg.traffic_gb == pytest.approx(4.0)
         assert agg.proto_share[Protocol.DNS] == pytest.approx(0.25)
         assert agg.metric("proto_share_https") == pytest.approx(0.75)
@@ -120,7 +143,7 @@ class TestAggregateDaily:
         for d in range(3):
             records += session(d, "AP-101", 9, 12)
         records += session(7, "AP-102", 9, 10)
-        agg = aggregate_daily(records, DAY, overload_threshold=2)
+        agg = day_aggregate(records, overload_threshold=2)
         assert agg.aps_seen == 2
         assert agg.aps_overloaded == 1
         assert agg.overload_pct == pytest.approx(50.0)
@@ -128,71 +151,58 @@ class TestAggregateDaily:
     def test_records_of_other_days_ignored(self):
         other = DAY + timedelta(days=1)
         records = session(1, "AP-101", 9, 10) + session(2, "AP-101", 9, 10, day=other)
-        agg = aggregate_daily(records, DAY)
+        agg = day_aggregate(records)
         assert agg.connections == 1
 
     def test_duplicate_device_detected(self):
         # Same device on two APs at once.
         records = session(5, "AP-101", 9, 11) + session(5, "AP-102", 10, 12)
-        agg = aggregate_daily(records, DAY)
+        agg = day_aggregate(records)
         assert agg.duplicate_device_events == 1
-
-
-class TestMergeDaily:
-    def test_rejects_different_days(self):
-        a = aggregate_daily([], DAY)
-        b = aggregate_daily([], DAY + timedelta(days=1))
-        with pytest.raises(ValueError):
-            merge_daily(a, b)
-
-    def test_merge_equals_whole_for_ap_and_device_disjoint_shards(self):
-        shard_a = (session(1, "AP-101", 9, 10)
-                   + [rec("auth_fail", ts(9), 1),
-                      rec("traffic", ts(9), 1, bytes_up=0, bytes_down=10**9,
-                          proto="https")])
-        shard_b = (session(2, "AP-102", 9, 12)
-                   + [rec("traffic", ts(10), 2, ap="AP-102", bytes_up=10**8,
-                          bytes_down=0, proto="dns")])
-        whole = aggregate_daily(shard_a + shard_b, DAY)
-        merged = merge_daily(aggregate_daily(shard_a, DAY),
-                             aggregate_daily(shard_b, DAY))
-        assert merged == whole
 
 
 class TestObservedDays:
     def test_inclusive_range_with_gaps(self):
         records = (session(1, "AP-101", 9, 10, day=DAY)
                    + session(1, "AP-101", 9, 10, day=DAY + timedelta(days=3)))
-        assert observed_days(records) == [DAY + timedelta(days=i) for i in range(4)]
+        assert observed_days(group_by_day(records)) == [DAY + timedelta(days=i) for i in range(4)]
 
     def test_empty(self):
         assert observed_days([]) == []
+
+
+def ap_stats_of(records):
+    return ap_load_stats(records, ap_day_peaks(sessions_of(records)))
 
 
 class TestApLoadStats:
     def test_sorted_by_monthly_connections_desc(self):
         records = (session(1, "AP-101", 9, 10) + session(2, "AP-102", 9, 10)
                    + session(3, "AP-102", 10, 11))
-        stats = ap_load_stats(records)
+        stats = ap_stats_of(records)
         assert [s.ap.value for s in stats] == ["AP-102", "AP-101"]
         assert stats[0].monthly_connections == 2
 
     def test_health_means_none_without_samples(self):
-        stats = ap_load_stats(session(1, "AP-101", 9, 10))
+        stats = ap_stats_of(session(1, "AP-101", 9, 10))
         assert stats[0].mean_latency_ms is None
         assert stats[0].mean_loss_pct is None
 
     def test_health_means_computed(self):
         records = [rec("ap_health", ts(9), latency_ms=30.0, loss_pct=1.0),
                    rec("ap_health", ts(10), latency_ms=50.0, loss_pct=2.0)]
-        stats = ap_load_stats(records)
+        stats = ap_stats_of(records)
         assert stats[0].mean_latency_ms == pytest.approx(40.0)
         assert stats[0].mean_loss_pct == pytest.approx(1.5)
 
 
+def hourly_of(records):
+    return hourly_profile(sessions_of(records), observed_days(group_by_day(records)))
+
+
 class TestHourlyProfile:
     def test_counts_sessions_spanning_hour_marks(self):
-        profile = hourly_profile(session(1, "AP-101", 9, 12))
+        profile = hourly_of(session(1, "AP-101", 9, 12))
         # Open at the 10:00 and 11:00 local marks; start at 9:00 sharp also
         # counts the 9:00 mark.
         assert profile.buckets[10] == 1.0
@@ -202,7 +212,7 @@ class TestHourlyProfile:
     def test_averaged_over_observed_days(self):
         records = (session(1, "AP-101", 9, 11, day=DAY)
                    + session(1, "AP-101", 20, 21, day=DAY + timedelta(days=1)))
-        profile = hourly_profile(records)
+        profile = hourly_of(records)
         assert profile.buckets[10] == pytest.approx(0.5)
 
     def test_argmax(self):
@@ -210,7 +220,61 @@ class TestHourlyProfile:
             1.0 if h == 11 else 0.0 for h in range(24))).argmax() == 11
 
     def test_empty_records(self):
-        assert hourly_profile([]).buckets == (0.0,) * 24
+        assert hourly_of([]).buckets == (0.0,) * 24
+
+
+class TestDescribe:
+    NEXT = DAY + timedelta(days=1)
+
+    def crossing(self):
+        # Device 1 holds AP-101 from 23:30 on DAY to 00:30 on DAY + 1.  On
+        # DAY + 1 it also holds AP-102 00:05-00:15, and device 2 holds
+        # AP-101 00:10-00:20.
+        return [rec("assoc", ts(23, 30), 1),
+                rec("disassoc", ts(0, 30, day=self.NEXT), 1, session_minutes=60.0),
+                rec("assoc", ts(0, 5, day=self.NEXT), 1, "AP-102"),
+                rec("disassoc", ts(0, 15, day=self.NEXT), 1, "AP-102",
+                    session_minutes=10.0),
+                rec("assoc", ts(0, 10, day=self.NEXT), 2),
+                rec("disassoc", ts(0, 20, day=self.NEXT), 2, session_minutes=10.0)]
+
+    def test_session_across_midnight_is_one_session_of_its_start_day(self):
+        first, *_ = sessions_of(self.crossing())
+        assert first.end - first.start == timedelta(hours=1)
+        assert first.day == DAY
+
+    def test_session_across_midnight_feeds_its_start_day_and_the_overlaps_after(self):
+        # Its own start feeds DAY's AP peak.  The sessions that start while
+        # it is open, and the 00:00 hour mark, fall on DAY + 1.
+        assert ap_day_peaks(sessions_of(self.crossing())) == {
+            (ApId("AP-101"), DAY): 1, (ApId("AP-101"), self.NEXT): 2,
+            (ApId("AP-102"), self.NEXT): 1}
+        desc = described(self.crossing(), overload_threshold=1)
+        today, tomorrow = desc.aggregates[:2]
+        assert (today.duplicate_device_events, tomorrow.duplicate_device_events) == (0, 1)
+        assert (today.aps_overloaded, tomorrow.aps_overloaded) == (0, 1)
+        assert desc.hourly.buckets[0] == pytest.approx(1 / 5)
+        assert sum(desc.hourly.buckets) == pytest.approx(1 / 5)
+        assert [(s.ap.value, s.peak_concurrent, s.overloaded_days)
+                for s in desc.ap_stats] == [("AP-101", 2, 1), ("AP-102", 1, 0)]
+        (event,) = detect_duplicate_devices(desc.device_days)
+        assert (event.type, event.day) == (AnomalyType.DUPLICATE_DEVICE, self.NEXT)
+
+    def test_same_ap_overlap_counts_but_is_no_duplicate_device(self):
+        records = session(1, "AP-101", 9, 11) + session(1, "AP-101", 10, 12)
+        desc = described(records)
+        assert desc.aggregates[0].duplicate_device_events == 1
+        assert desc.device_days == {
+            (DeviceId(dev(1)), DAY): DeviceDay(peak=2, aps=frozenset())}
+        assert detect_duplicate_devices(desc.device_days) == []
+
+    def test_device_overlaps_name_the_aps_held_at_once(self):
+        records = session(1, "AP-101", 9, 11) + session(1, "AP-102", 10, 12)
+        assert device_overlaps(sessions_of(records)) == {
+            (DeviceId(dev(1)), DAY): DeviceDay(
+                peak=2, aps=frozenset({ApId("AP-101"), ApId("AP-102")}))}
+        types = {e.type for e in detect_duplicate_devices(described(records).device_days)}
+        assert types == {AnomalyType.DUPLICATE_DEVICE}
 
 
 def flat_aggregate(day, connections=100):

@@ -1,5 +1,5 @@
 """Isolation forest: closed-form checks on the path-length normalizer,
-planted-outlier detection power, determinism, and model serialization."""
+planted-outlier detection power, and determinism."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from wlantel.detection.iforest import (
     EULER_GAMMA,
-    ForestModel,
     TooFewPoints,
     average_path_length,
     expected_path_length,
@@ -103,14 +102,14 @@ class TestFitting:
         points = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(40)]
         m1 = fit_isolation_forest(points, seed=9)
         m2 = fit_isolation_forest(points, seed=9)
-        assert m1.to_json_dict() == m2.to_json_dict()
+        assert m1 == m2
 
     def test_different_seeds_differ(self):
         rng = random.Random(2)
         points = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(40)]
         m1 = fit_isolation_forest(points, seed=1)
         m2 = fit_isolation_forest(points, seed=2)
-        assert m1.to_json_dict() != m2.to_json_dict()
+        assert m1.trees != m2.trees
 
     def test_subsample_capped_at_population(self):
         points = [(float(i),) for i in range(10)]
@@ -140,23 +139,6 @@ class TestFitting:
             return max(depth(node.left, d + 1), depth(node.right, d + 1))
 
         assert all(depth(t) <= cap for t in model.trees)
-
-
-class TestSerialization:
-    def test_round_trip_preserves_scores(self):
-        rng = random.Random(6)
-        points = [(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(50)]
-        model = fit_isolation_forest(points, n_trees=20, seed=12)
-        restored = ForestModel.from_json_dict(model.to_json_dict())
-        for p in points[:10]:
-            assert iforest_score(restored, p) == iforest_score(model, p)
-
-    def test_unknown_format_version_rejected(self):
-        model = fit_isolation_forest([(0.0,), (1.0,), (2.0,)], n_trees=2, seed=0)
-        d = model.to_json_dict()
-        d["format_version"] = 99
-        with pytest.raises(ValueError):
-            ForestModel.from_json_dict(d)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,13 +5,18 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
 
+import wlantel
 from wlantel.cli import main
 from wlantel.pipeline import save_run
 from wlantel.report import AP_CSV_HEADER, METRICS_CSV_HEADER, render_report
@@ -105,6 +110,17 @@ class TestCliPipeline:
             assert (out / name).is_file()
         aggregates = json.loads((out / "aggregates.json").read_text())
         assert len(aggregates) == 8
+
+    def test_analyze_artifacts_match_run(self, small_trace, salt_file, tmp_path):
+        trace, _ = small_trace
+        for command in ("analyze", "run"):
+            assert main(["--quiet", command, "--in", str(trace),
+                         "--salt-file", salt_file,
+                         "--out", str(tmp_path / command)]) == 0
+        for name in ("aggregates.json", "baseline.json", "ap_stats.json",
+                     "hourly_profile.json"):
+            assert (tmp_path / "analyze" / name).read_bytes() == \
+                (tmp_path / "run" / name).read_bytes(), name
 
     def test_detect_prints_anomalies(self, small_trace, salt_file, capsys):
         trace, _ = small_trace
@@ -213,6 +229,10 @@ class TestService:
         assert status == 200
         assert len(json.loads(body)) == len(month_run.anomalies)
 
+    def test_query_string_ignored(self, server):
+        for path in ("/metrics", "/alerts", "/healthz"):
+            assert self.fetch(server + path + "?x=1") == self.fetch(server + path)
+
     def test_unknown_path_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as exc:
             self.fetch(server + "/nope")
@@ -224,3 +244,29 @@ class TestService:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=5)
         assert exc.value.code == 405
+
+
+def test_serve_prints_the_bound_port(saved_run):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(wlantel.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wlantel.cli", "serve", "--run", str(saved_run),
+         "--addr", "127.0.0.1:0"],
+        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True)
+    watchdog = threading.Timer(60, proc.kill)
+    watchdog.start()
+    try:
+        line = proc.stderr.readline()
+        match = re.search(r" on 127\.0\.0\.1:(\d+)$", line.strip())
+        assert match, line
+        port = int(match.group(1))
+        assert port != 0
+        url = f"http://127.0.0.1:{port}/healthz"
+        with urllib.request.urlopen(url, timeout=5) as resp:
+            assert (resp.status, resp.read()) == (200, b"ok\n")
+    finally:
+        watchdog.cancel()
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stderr.close()

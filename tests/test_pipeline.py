@@ -3,6 +3,7 @@ the evaluation harness."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from datetime import date, timedelta
@@ -113,6 +114,30 @@ class TestSaveLoad:
         for rec in stored.recommendations:
             assert all(isinstance(i, int) and 0 <= i < n
                        for i in rec["linked_events"])
+
+
+# SHA-256 of every artifact but the manifest for GOLDEN_CONFIG at seed 3.
+# Any change to them is an artifact change that CHANGES.md must explain.
+GOLDEN_CONFIG = SimConfig(days=14, weekday_users=300, weekend_users=200,
+                          device_pool=600)
+GOLDEN_DIGESTS = {
+    "aggregates.json": "ecacebd2ae5ee7d3a675f879484f5ed137e296bd1c326c5a40cb0c559f339010",
+    "anomalies.json": "d4971f38fd85782f07896cd5cc99002872e1eec36e0552de317228e246d6da40",
+    "ap_stats.json": "83e788508ed8d30934414dc98013691146b248a07ec5d52c2010d089506b7e1c",
+    "baseline.json": "70e3c13933c4abe59301f346e881fdc4511c05cfe1bc582655cd084e05ffd660",
+    "daily_anomaly_counts.json": "e50665ed9e186d085920a03b0901f612b70423be43fdd44a04f20466a1070e47",
+    "hourly_profile.json": "daea811cd7ecb136a39123d505ab3c366e767088217081425f7d77a438b72fc2",
+    "recommendations.json": "121ffcd4700d3849b5a320382c382c44312a96311daad32c7881eab84c690246",
+}
+
+
+def test_artifacts_match_golden_digests(salt, tmp_path):
+    raw, _ = generate_month(GOLDEN_CONFIG, seed=3)
+    records = list(ingest_records(enumerate(raw, start=1), salt))
+    save_run(run_pipeline(records, PipelineConfig()), str(tmp_path))
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if p.name != "manifest.json"}
+    assert digests == GOLDEN_DIGESTS
 
 
 def truth_of(*injections):

@@ -7,6 +7,7 @@ from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
+from wlantel.descriptive import device_overlaps, group_by_day, pair_sessions
 from wlantel.detection.classify import classify
 from wlantel.detection.features import FEATURE_METRICS, build_features
 from wlantel.detection.rules import (
@@ -47,14 +48,19 @@ def session(device, ap, start_h, end_h, day=DAY):
     ]
 
 
+def detect(records, **kwargs):
+    sessions = pair_sessions(group_by_day(records))
+    return detect_duplicate_devices(device_overlaps(sessions), **kwargs)
+
+
 class TestDuplicateDeviceRules:
     def test_no_overlap_no_events(self):
         records = session(1, "AP-101", 9, 10) + session(1, "AP-101", 11, 12)
-        assert detect_duplicate_devices(records) == []
+        assert detect(records) == []
 
     def test_two_aps_at_once_is_duplicate(self):
         records = session(1, "AP-101", 9, 11) + session(1, "AP-102", 10, 12)
-        events = detect_duplicate_devices(records)
+        events = detect(records)
         assert [e.type for e in events] == [AnomalyType.DUPLICATE_DEVICE]
         assert events[0].device == dev(1)
         assert events[0].day == DAY
@@ -62,14 +68,14 @@ class TestDuplicateDeviceRules:
 
     def test_same_ap_overlap_is_not_duplicate(self):
         records = session(1, "AP-101", 9, 11) + session(1, "AP-101", 10, 12)
-        events = detect_duplicate_devices(records, max_concurrent=3)
+        events = detect(records, max_concurrent=3)
         assert events == []
 
     def test_concurrency_over_limit_is_simultaneous(self):
         records = []
         for i in range(4):  # 4 overlapping sessions, limit 3
             records += session(1, "AP-101", 9, 13)
-        events = detect_duplicate_devices(records, max_concurrent=3)
+        events = detect(records, max_concurrent=3)
         assert [e.type for e in events] == [AnomalyType.SIMULTANEOUS_CONNECTIONS]
         assert events[0].score == 4.0
 
@@ -77,7 +83,7 @@ class TestDuplicateDeviceRules:
         records = []
         for i in range(3):
             records += session(1, "AP-101", 9, 12)
-        events = detect_duplicate_devices(records, max_concurrent=2)
+        events = detect(records, max_concurrent=2)
         assert [e.type for e in events] == [AnomalyType.SIMULTANEOUS_CONNECTIONS]
 
     def test_one_event_per_device_day_type(self):
@@ -85,18 +91,18 @@ class TestDuplicateDeviceRules:
         # event.
         records = (session(1, "AP-101", 8, 10) + session(1, "AP-102", 9, 11)
                    + session(1, "AP-103", 14, 16) + session(1, "AP-104", 15, 17))
-        events = detect_duplicate_devices(records)
+        events = detect(records)
         assert len(events) == 1
         assert sorted(events[0].evidence["aps"]) == [
             "AP-101", "AP-102", "AP-103", "AP-104"]
 
     def test_distinct_devices_do_not_interact(self):
         records = session(1, "AP-101", 9, 11) + session(2, "AP-102", 9, 11)
-        assert detect_duplicate_devices(records) == []
+        assert detect(records) == []
 
     def test_invalid_limit(self):
         with pytest.raises(ValueError):
-            detect_duplicate_devices([], max_concurrent=0)
+            detect_duplicate_devices({}, max_concurrent=0)
 
 
 def baseline_with(dns=(0.05, 0.01), https=(0.62, 0.01)):
