@@ -13,6 +13,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import descriptive, report, service
+from .descriptive import DEFAULT_OVERLOAD_THRESHOLD
+from .detection.rules import DEFAULT_MAX_CONCURRENT
+from .detection.thresholds import DEFAULT_K, DEFAULT_WINDOW
 from .domain import AnomalyEvent, ValidationError
 from .ingest import (
     IngestError,
@@ -65,7 +68,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="descriptive stage only")
     _add_ingest_args(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--overload-threshold", type=int, default=50)
+    p.add_argument("--overload-threshold", type=int, default=DEFAULT_OVERLOAD_THRESHOLD)
 
     p = sub.add_parser("detect", help="run all detectors, print anomalies")
     _add_ingest_args(p)
@@ -109,10 +112,10 @@ def _add_ingest_args(p):
 
 def _add_pipeline_args(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--overload-threshold", type=int, default=50)
-    p.add_argument("--window", type=int, default=7)
-    p.add_argument("--k", type=float, default=3.0)
-    p.add_argument("--max-concurrent", type=int, default=3)
+    p.add_argument("--overload-threshold", type=int, default=DEFAULT_OVERLOAD_THRESHOLD)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--k", type=float, default=DEFAULT_K)
+    p.add_argument("--max-concurrent", type=int, default=DEFAULT_MAX_CONCURRENT)
     p.add_argument("--flag-rule", choices=["all", "any"], default="all")
 
 
@@ -249,8 +252,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    snapshot = load_run(args.run)  # a missing run is an input error, not a bind failure
     try:
-        server = service.make_server(args.run, args.addr)
+        server = service.make_server(snapshot, args.addr)
     except OSError as e:
         print(f"bind failed: {e}", file=sys.stderr)
         return 2

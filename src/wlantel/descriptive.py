@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .domain import (
     BASELINE_METRICS,
     LOCAL_TZ,
+    MAX_SESSION_MINUTES,
     MIN_BASELINE_DAYS,
     ApId,
     BaselineProfile,
@@ -116,8 +117,7 @@ class Description:
 
 
 def describe(records: Sequence[SessionRecord],
-             overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD,
-             short_session_minutes: float = DEFAULT_SHORT_SESSION_MINUTES) -> Description:
+             overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD) -> Description:
     """Run the whole descriptive stage over one window of records."""
     by_day = group_by_day(records)
     days = observed_days(by_day)
@@ -127,8 +127,7 @@ def describe(records: Sequence[SessionRecord],
     overloaded = Counter(day for (_, day), peak in peaks.items() if peak > overload_threshold)
     duplicates = Counter(day for _, day in overlaps)
     aggregates = tuple(
-        aggregate_daily(by_day.get(day, ()), day, overloaded[day], duplicates[day],
-                        short_session_minutes=short_session_minutes)
+        aggregate_daily(by_day.get(day, ()), day, overloaded[day], duplicates[day])
         for day in days
     )
     return Description(
@@ -163,8 +162,9 @@ def pair_sessions(by_day: Mapping[date, Sequence[SessionRecord]]) -> list[Sessio
     across the whole window of ``group_by_day`` output.
 
     An Assoc with no matching Disassoc stays open until the last timestamp
-    seen.  A Disassoc with no open Assoc is dropped (session began before
-    the window).
+    seen, but no longer than MAX_SESSION_MINUTES, the bound `validate` puts
+    on a Disassoc's session length.  A Disassoc with no open Assoc is
+    dropped (session began before the window).
     """
     open_assocs: dict = defaultdict(list)
     sessions: list[Session] = []
@@ -182,10 +182,11 @@ def pair_sessions(by_day: Mapping[date, Sequence[SessionRecord]]) -> list[Sessio
             elif open_assocs[key]:
                 start, start_day = open_assocs[key].pop(0)
                 sessions.append(Session(r.device, r.ap, start, r.ts, start_day))
-    if last_ts is not None:
-        for (device, ap), starts in open_assocs.items():
-            for start, start_day in starts:
-                sessions.append(Session(device, ap, start, last_ts, start_day))
+    longest = timedelta(minutes=MAX_SESSION_MINUTES)
+    for (device, ap), starts in open_assocs.items():
+        for start, start_day in starts:
+            sessions.append(Session(device, ap, start, min(last_ts, start + longest),
+                                    start_day))
     sessions.sort(key=lambda s: (s.start, s.ap.value, s.device.value))
     return sessions
 
@@ -235,8 +236,7 @@ def device_overlaps(sessions: Iterable[Session]) -> dict:
 
 
 def aggregate_daily(records: Iterable[SessionRecord], day: date,
-                    aps_overloaded: int, duplicate_devices: int,
-                    short_session_minutes: float = DEFAULT_SHORT_SESSION_MINUTES) -> DailyAggregate:
+                    aps_overloaded: int, duplicate_devices: int) -> DailyAggregate:
     """Collapse one local day's records into a DailyAggregate.
 
     ``aps_overloaded`` and ``duplicate_devices`` are the day's counts of
@@ -263,7 +263,7 @@ def aggregate_daily(records: Iterable[SessionRecord], day: date,
         elif r.kind is EventKind.DISASSOC:
             sessions_ended += 1
             session_minutes_sum += r.session_minutes
-            if r.session_minutes < short_session_minutes:
+            if r.session_minutes < DEFAULT_SHORT_SESSION_MINUTES:
                 unexpected += 1
         elif r.kind is EventKind.TRAFFIC:
             proto_bytes[r.proto] += r.bytes_up + r.bytes_down
@@ -287,7 +287,6 @@ def aggregate_daily(records: Iterable[SessionRecord], day: date,
         proto_share=proto_share,
         duplicate_device_events=duplicate_devices,
         sessions_ended=sessions_ended,
-        proto_bytes=proto_bytes,
         aps_seen=aps_seen,
         aps_overloaded=aps_overloaded,
     )
@@ -359,34 +358,31 @@ def hourly_profile(sessions: Iterable[Session], days: Sequence[date]) -> HourlyP
 
 
 def build_baseline(aggregates: Sequence[DailyAggregate]) -> BaselineProfile:
-    """Per-day-of-week mean/std of every metric; slots with fewer than
-    MIN_BASELINE_DAYS samples fall back to the all-days statistics."""
+    """Per-day-of-week mean/std of every metric: `slot_stats` of each
+    weekday over the window."""
     if len(aggregates) < MIN_BASELINE_DAYS:
         raise InsufficientData(
             f"need at least {MIN_BASELINE_DAYS} days, got {len(aggregates)}")
 
     ordered = sorted(aggregates, key=lambda a: a.day)
-    all_values = {m: [a.metric(m) for a in ordered] for m in BASELINE_METRICS}
-    all_stats = {m: _mean_std(vs) for m, vs in all_values.items()}
-
-    slots = []
-    fallback = []
-    for dow in range(7):
-        slot_aggs = [a for a in ordered if a.day.weekday() == dow]
-        if len(slot_aggs) >= MIN_BASELINE_DAYS:
-            slots.append({m: _mean_std([a.metric(m) for a in slot_aggs])
-                          for m in BASELINE_METRICS})
-            fallback.append(False)
-        else:
-            slots.append(dict(all_stats))
-            fallback.append(True)
-
+    slots, fallback = zip(*(slot_stats(ordered, dow) for dow in range(7)))
     return BaselineProfile(
-        slots=tuple(slots),
-        fallback=tuple(fallback),
+        slots=slots,
+        fallback=fallback,
         window_days=len(ordered),
         built_from=(ordered[0].day, ordered[-1].day),
     )
+
+
+def slot_stats(aggregates: Sequence[DailyAggregate], dow: int) -> tuple[dict, bool]:
+    """The one day-of-week slot rule: metric -> (mean, std) over the days
+    on weekday ``dow``, or over every day (``fallback`` True) when fewer
+    than MIN_BASELINE_DAYS fall on it."""
+    days = [a for a in aggregates if a.day.weekday() == dow]
+    fallback = len(days) < MIN_BASELINE_DAYS
+    if fallback:
+        days = aggregates
+    return {m: _mean_std([a.metric(m) for a in days]) for m in BASELINE_METRICS}, fallback
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:

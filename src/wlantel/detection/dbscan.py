@@ -16,12 +16,16 @@ from typing import Sequence
 NOISE = -1
 _UNVISITED = -2
 
+DEFAULT_EPS = 3.5  # in feature space, i.e. baseline z-score units
+DEFAULT_MIN_PTS = 4
+
 
 def _distance(a: Sequence[float], b: Sequence[float]) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
-def dbscan(points: Sequence[Sequence[float]], eps: float, min_pts: int) -> list[int]:
+def dbscan(points: Sequence[Sequence[float]], eps: float = DEFAULT_EPS,
+           min_pts: int = DEFAULT_MIN_PTS) -> list[int]:
     """Label each point with a cluster id (0, 1, ...) or NOISE (-1)."""
     if eps <= 0:
         raise ValueError("eps must be > 0")

@@ -7,14 +7,7 @@ from typing import Mapping
 
 # bench/tracer.py patches pair_sessions here as well, so the name must stay.
 from ..descriptive import pair_sessions  # noqa: F401
-from ..domain import (
-    AnomalyEvent,
-    AnomalyType,
-    BaselineProfile,
-    DailyAggregate,
-    Detector,
-    Protocol,
-)
+from ..domain import AnomalyEvent, AnomalyType, DailyAggregate, Detector, Protocol
 
 from .features import STD_FLOOR
 from .thresholds import DEFAULT_K
@@ -68,20 +61,21 @@ def detect_duplicate_devices(device_days: Mapping,
     return events
 
 
-def protocol_anomaly(aggregate: DailyAggregate, baseline: BaselineProfile,
+def protocol_anomaly(aggregate: DailyAggregate, stats: Mapping,
                      k: float = DEFAULT_K) -> list[AnomalyEvent]:
-    """z-test each protocol's traffic share against the baseline slot.
+    """z-test each protocol's traffic share against ``stats``, which maps
+    each ``proto_share_<p>`` metric to its baseline (mean, std), as
+    `descriptive.slot_stats` gives it.
 
     DNS deviations map to DnsAnomaly, others to TrafficSpike.  Days with
     no traffic are skipped (shares undefined).
     """
     if aggregate.traffic_gb <= 0:
         return []
-    slot = aggregate.day.weekday()
     events = []
     for proto in Protocol:
         metric = f"proto_share_{proto.value}"
-        mean, std = baseline.stats(slot, metric)
+        mean, std = stats[metric]
         share = aggregate.metric(metric)
         z = abs(share - mean) / max(std, STD_FLOOR)
         if z <= k:

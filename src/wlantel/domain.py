@@ -253,9 +253,8 @@ def validate(raw: dict) -> SessionRecord:
 class DailyAggregate:
     """One day's metric vector.
 
-    ``sessions_ended``, ``proto_bytes``, ``aps_seen`` and ``aps_overloaded``
-    are carried so aggregates merge exactly (weighted session mean, byte-sum
-    protocol shares, overload ratio).
+    ``sessions_ended``, ``aps_seen`` and ``aps_overloaded`` are the counts
+    behind ``mean_session_minutes`` and ``overload_pct``.
     """
 
     day: date
@@ -269,7 +268,6 @@ class DailyAggregate:
     proto_share: dict = field(default_factory=dict)  # Protocol -> fraction
     duplicate_device_events: int = 0
     sessions_ended: int = 0
-    proto_bytes: dict = field(default_factory=dict)  # Protocol -> bytes
     aps_seen: int = 0
     aps_overloaded: int = 0
 

@@ -19,12 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import descriptive
-from .descriptive import (
-    DEFAULT_OVERLOAD_THRESHOLD,
-    DEFAULT_SHORT_SESSION_MINUTES,
-    ApStats,
-    InsufficientData,
-)
+from .descriptive import DEFAULT_OVERLOAD_THRESHOLD, ApStats, InsufficientData
 from .detection import (
     build_features,
     classify,
@@ -69,18 +64,11 @@ class PipelineError(Exception):
 @dataclass(frozen=True)
 class PipelineConfig:
     overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD
-    short_session_minutes: float = DEFAULT_SHORT_SESSION_MINUTES
     window: int = DEFAULT_WINDOW
     k: float = DEFAULT_K
     max_concurrent: int = DEFAULT_MAX_CONCURRENT
-    iforest_trees: int = 100
-    iforest_subsample: int = 64
     seed: int = 0
-    dbscan_eps: float = 3.5
-    dbscan_min_pts: int = 4
     flag_rule: str = "all"
-    latency_bound_ms: float = 40.0
-    loss_bound_pct: float = 1.5
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -131,8 +119,7 @@ def run_pipeline(records: Sequence[SessionRecord],
     digest = staged("digest", lambda: input_digest(records))
 
     def _descriptive():
-        desc = descriptive.describe(records, config.overload_threshold,
-                                    config.short_session_minutes)
+        desc = descriptive.describe(records, config.overload_threshold)
         if len(desc.aggregates) < 7:
             raise InsufficientData(
                 f"need >= 7 days of records, got {len(desc.aggregates)}")
@@ -153,17 +140,14 @@ def run_pipeline(records: Sequence[SessionRecord],
         # inflate its own slot's variance and mask itself.
         for i, agg in enumerate(aggregates):
             others = aggregates[:i] + aggregates[i + 1:]
-            events.extend(protocol_anomaly(
-                agg, descriptive.build_baseline(others), k=config.k))
+            stats, _ = descriptive.slot_stats(others, agg.day.weekday())
+            events.extend(protocol_anomaly(agg, stats, k=config.k))
         events.extend(detect_duplicate_devices(desc.device_days, config.max_concurrent))
 
         features = build_features(aggregates, baseline)
         points = [f.values for f in features]
         if len(points) >= 2:
-            model = fit_isolation_forest(points,
-                                         n_trees=config.iforest_trees,
-                                         subsample_size=min(config.iforest_subsample, len(points)),
-                                         seed=config.seed)
+            model = fit_isolation_forest(points, seed=config.seed)
             for f in features:
                 score = iforest_score(model, f.values)
                 events.append(AnomalyEvent(
@@ -172,9 +156,7 @@ def run_pipeline(records: Sequence[SessionRecord],
                     evidence={"features": list(f.values),
                               "text": f"isolation forest score {score:.3f}"},
                 ))
-            labels = dbscan(points, eps=config.dbscan_eps,
-                            min_pts=config.dbscan_min_pts)
-            for f, label in zip(features, labels):
+            for f, label in zip(features, dbscan(points)):
                 if label == NOISE:
                     events.append(AnomalyEvent(
                         day=f.day, type=AnomalyType.MULTIVARIATE_OUTLIER,
@@ -189,8 +171,6 @@ def run_pipeline(records: Sequence[SessionRecord],
     def _prescriptive():
         from .prescriptive import recommend
         return recommend(anomalies, desc.ap_stats, aggregates, baseline,
-                         latency_bound_ms=config.latency_bound_ms,
-                         loss_bound_pct=config.loss_bound_pct,
                          flag_rule=config.flag_rule, k=config.k)
 
     recommendations = staged("prescriptive", _prescriptive)

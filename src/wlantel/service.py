@@ -63,9 +63,8 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # keep the data/diagnostic streams clean
 
 
-def make_server(rundir: str, addr: str = "127.0.0.1:8080") -> ThreadingHTTPServer:
+def make_server(snapshot: StoredRun, addr: str = "127.0.0.1:8080") -> ThreadingHTTPServer:
     host, _, port = addr.rpartition(":")
-    snapshot = load_run(rundir)
     text = "text/plain; charset=utf-8"
     routes = {
         "/healthz": (text, b"ok\n"),
@@ -79,7 +78,7 @@ def make_server(rundir: str, addr: str = "127.0.0.1:8080") -> ThreadingHTTPServe
 
 def start_background(rundir: str, addr: str = "127.0.0.1:0") -> tuple[ThreadingHTTPServer, threading.Thread]:
     """Start the service on a daemon thread; used by tests and embedding."""
-    server = make_server(rundir, addr)
+    server = make_server(load_run(rundir), addr)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread

@@ -4,6 +4,8 @@ baselines, correlation, and the descriptive stage that shares them."""
 from __future__ import annotations
 
 import math
+import random
+import statistics
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -27,13 +29,16 @@ from wlantel.descriptive import (
     hourly_profile,
     observed_days,
     pair_sessions,
+    slot_stats,
 )
 from wlantel.detection.rules import detect_duplicate_devices
 from wlantel.domain import (
     AnomalyType,
     ApId,
+    BASELINE_METRICS,
     DailyAggregate,
     DeviceId,
+    MAX_SESSION_MINUTES,
     MIN_BASELINE_DAYS,
     Protocol,
     validate,
@@ -93,6 +98,14 @@ class TestPairSessions:
         sessions = sessions_of(records)
         open_session = next(s for s in sessions if s.device == DeviceId(dev(0)))
         assert open_session.end == max(r.ts for r in records)
+
+    def test_unmatched_assoc_closes_after_the_longest_session(self):
+        later = DAY + timedelta(days=3)
+        records = [rec("assoc", ts(9))] + session(2, "AP-102", 10, 14, day=later)
+        open_session = next(s for s in sessions_of(records)
+                            if s.device == DeviceId(dev(0)))
+        assert open_session.end - open_session.start == \
+            timedelta(minutes=MAX_SESSION_MINUTES)
 
     def test_unmatched_disassoc_dropped(self):
         records = [rec("disassoc", ts(9), session_minutes=30.0)]
@@ -311,6 +324,58 @@ class TestBuildBaseline:
         forward = build_baseline(aggs)
         backward = build_baseline(list(reversed(aggs)))
         assert forward == backward
+
+
+def varied_aggregates(n_days, seed=0):
+    """``n_days`` consecutive aggregates with every baseline metric varying."""
+    rng = random.Random(seed)
+    aggs = []
+    for i in range(n_days):
+        proto_bytes = {p: rng.randint(1, 10**9) for p in Protocol}
+        total = sum(proto_bytes.values())
+        aggs.append(DailyAggregate(
+            day=DAY + timedelta(days=i),
+            connections=rng.randint(0, 5000),
+            distinct_devices=rng.randint(0, 3000),
+            mean_session_minutes=rng.uniform(1.0, 120.0),
+            auth_failures=rng.randint(0, 400),
+            unexpected_disconnects=rng.randint(0, 200),
+            traffic_gb=total / 10**9,
+            overload_pct=rng.uniform(0.0, 100.0),
+            proto_share={p: b / total for p, b in proto_bytes.items()},
+            duplicate_device_events=rng.randint(0, 30),
+        ))
+    return aggs
+
+
+def reference_slot_stats(others, dow):
+    """The slot rule written out: the other days on weekday ``dow``, or all
+    other days when fewer than MIN_BASELINE_DAYS fall on it."""
+    same = [a for a in others if a.day.weekday() == dow]
+    days = same if len(same) >= MIN_BASELINE_DAYS else others
+    return {m: (statistics.fmean([a.metric(m) for a in days]),
+                statistics.stdev([a.metric(m) for a in days]))
+            for m in BASELINE_METRICS}
+
+
+class TestSlotStats:
+    @pytest.mark.parametrize("n_days", [7, 30, 36, 60])
+    def test_leave_one_out_matches_reference(self, n_days):
+        aggs = varied_aggregates(n_days, seed=n_days)
+        seen = set()
+        for i, agg in enumerate(aggs):
+            others = aggs[:i] + aggs[i + 1:]
+            dow = agg.day.weekday()
+            same = sum(1 for a in others if a.day.weekday() == dow)
+            stats, fallback = slot_stats(others, dow)
+            assert stats == reference_slot_stats(others, dow)
+            assert fallback is (same < MIN_BASELINE_DAYS)
+            seen.add((same, fallback))
+        if n_days in (7, 30):
+            assert {fallback for _, fallback in seen} == {True}
+        if n_days == 36:  # one weekday has six days, the others five
+            assert {(MIN_BASELINE_DAYS, False),
+                    (MIN_BASELINE_DAYS - 1, True)} <= seen
 
 
 class TestCorrelation:

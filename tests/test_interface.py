@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -244,6 +245,22 @@ class TestService:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=5)
         assert exc.value.code == 405
+
+
+def test_serve_missing_run_exits_1(tmp_path, capsys):
+    code = main(["serve", "--run", str(tmp_path / "missing"), "--addr", "127.0.0.1:0"])
+    assert code == 1
+    assert "bind failed" not in capsys.readouterr().err
+
+
+def test_serve_bind_failure_exits_2(saved_run, capsys):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        code = main(["serve", "--run", str(saved_run), "--addr", f"127.0.0.1:{port}"])
+    assert code == 2
+    assert "bind failed" in capsys.readouterr().err
 
 
 def test_serve_prints_the_bound_port(saved_run):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from wlantel import descriptive
 from wlantel.descriptive import InsufficientData
 from wlantel.domain import (
     AnomalyEvent,
@@ -138,6 +139,25 @@ def test_artifacts_match_golden_digests(salt, tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir() if p.name != "manifest.json"}
     assert digests == GOLDEN_DIGESTS
+
+
+def test_baseline_built_once_per_run(salt, monkeypatch):
+    # Protocol-share tests take their leave-one-out statistics from
+    # descriptive.slot_stats; the whole profile is built once, in describe.
+    raw, _ = generate_month(SimConfig(days=36, weekday_users=64, weekend_users=44,
+                                      device_pool=120), seed=5)
+    records = list(ingest_records(enumerate(raw, start=1), salt))
+    calls = []
+    build_baseline = descriptive.build_baseline
+
+    def counted(aggregates):
+        calls.append(len(aggregates))
+        return build_baseline(aggregates)
+
+    monkeypatch.setattr(descriptive, "build_baseline", counted)
+    run = run_pipeline(records, PipelineConfig())
+    assert len(run.aggregates) == 36
+    assert calls == [36]
 
 
 def truth_of(*injections):

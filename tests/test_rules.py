@@ -104,18 +104,38 @@ class TestDuplicateDeviceRules:
         with pytest.raises(ValueError):
             detect_duplicate_devices({}, max_concurrent=0)
 
+    @staticmethod
+    def lost_disassoc_week(first_start_h):
+        """An AP-101 Assoc whose Disassoc was lost at 09:00 on DAY, then one
+        AP-102 session on each of the six later days, at 09:00 except on
+        the first of them."""
+        records = [validate({"ts": ts(9), "device": dev(1), "ap": "AP-101",
+                             "kind": "assoc"})]
+        records += session(1, "AP-102", first_start_h, 10, day=DAY + timedelta(days=1))
+        for i in range(2, 7):
+            records += session(1, "AP-102", 9, 10, day=DAY + timedelta(days=i))
+        return records
 
-def baseline_with(dns=(0.05, 0.01), https=(0.62, 0.01)):
-    metrics = {
+    def test_unmatched_assoc_overlaps_for_one_day_at_most(self):
+        # The lost Disassoc's session ends 24 h after it began, as the later
+        # session begins, so nothing overlaps.
+        assert detect(self.lost_disassoc_week(9)) == []
+
+    def test_unmatched_assoc_overlaps_within_its_first_day(self):
+        events = detect(self.lost_disassoc_week(8))
+        assert [(e.type, e.day) for e in events] == [
+            (AnomalyType.DUPLICATE_DEVICE, DAY + timedelta(days=1))]
+
+
+def stats_with(dns=(0.05, 0.01), https=(0.62, 0.01)):
+    """A metric -> (mean, std) mapping, as `descriptive.slot_stats` gives it."""
+    return {
         "proto_share_dns": dns,
         "proto_share_https": https,
         "proto_share_http": (0.08, 0.01),
         "proto_share_udp": (0.15, 0.01),
         "proto_share_other": (0.10, 0.01),
     }
-    return BaselineProfile(slots=tuple(dict(metrics) for _ in range(7)),
-                           fallback=(False,) * 7, window_days=30,
-                           built_from=(DAY, DAY + timedelta(days=29)))
 
 
 def day_aggregate(shares, traffic_gb=100.0):
@@ -128,12 +148,12 @@ class TestProtocolAnomaly:
               "other": 0.10}
 
     def test_shares_at_baseline_mean_no_events(self):
-        assert protocol_anomaly(day_aggregate(self.NORMAL), baseline_with()) == []
+        assert protocol_anomaly(day_aggregate(self.NORMAL), stats_with()) == []
 
     def test_dns_deviation_maps_to_dns_anomaly(self):
         # Published example: baseline 0.05 +/- 0.01, observed 0.25 -> z = 20.
         shares = dict(self.NORMAL, dns=0.25, https=0.42)
-        events = protocol_anomaly(day_aggregate(shares), baseline_with())
+        events = protocol_anomaly(day_aggregate(shares), stats_with())
         dns_events = [e for e in events if e.type is AnomalyType.DNS_ANOMALY]
         assert len(dns_events) == 1
         assert dns_events[0].score == pytest.approx(20.0)
@@ -141,12 +161,12 @@ class TestProtocolAnomaly:
 
     def test_non_dns_deviation_maps_to_traffic_spike(self):
         shares = dict(self.NORMAL, udp=0.45, https=0.32)
-        events = protocol_anomaly(day_aggregate(shares), baseline_with())
+        events = protocol_anomaly(day_aggregate(shares), stats_with())
         assert {e.type for e in events} == {AnomalyType.TRAFFIC_SPIKE}
 
     def test_zero_traffic_day_skipped(self):
         agg = DailyAggregate(day=DAY, traffic_gb=0.0)
-        assert protocol_anomaly(agg, baseline_with()) == []
+        assert protocol_anomaly(agg, stats_with()) == []
 
 
 def event(detector, score, etype=AnomalyType.AUTH_BURST, device=None, day=DAY):
