@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,17 +17,10 @@ from . import descriptive, report, service
 from .descriptive import DEFAULT_OVERLOAD_THRESHOLD
 from .detection.rules import DEFAULT_MAX_CONCURRENT
 from .detection.thresholds import DEFAULT_K, DEFAULT_WINDOW
-from .domain import AnomalyEvent, ValidationError
-from .ingest import (
-    IngestError,
-    InvalidMacFormat,
-    MalformedLine,
-    Salt,
-    ingest_file,
-)
+from .domain import AnomalyEvent, InputError
+from .ingest import SALT_ENV_VAR, Salt, ingest_file
 from .pipeline import (
     PipelineConfig,
-    PipelineError,
     _write_json,
     descriptive_artifacts,
     evaluate,
@@ -124,8 +118,7 @@ def _load_salt(args) -> Salt | None:
         return None
     if getattr(args, "salt_file", None):
         return Salt.from_hex(Path(args.salt_file).read_text())
-    import os
-    if os.environ.get("WLC_SALT_HEX"):
+    if os.environ.get(SALT_ENV_VAR):
         return Salt.from_env()
     return None
 
@@ -217,7 +210,7 @@ def _cmd_recommend(args) -> int:
 def _cmd_run(args) -> int:
     records, stats = _ingest(args)
     run = run_pipeline(records, _pipeline_config(args))
-    save_run(run, args.out)
+    save_run(run, args.out, ingest=stats.to_json_dict())
     if not args.quiet:
         print(f"run {run.run_id}: {stats.accepted} records, "
               f"{len(run.anomalies)} anomalies, "
@@ -231,9 +224,7 @@ def _cmd_evaluate(args) -> int:
     anomalies = [AnomalyEvent.from_json_dict(e) for e in stored.anomalies]
     with open(args.labels, "r", encoding="utf-8") as fh:
         truth = GroundTruth.from_json_dict(json.load(fh))
-    salt = Salt.from_hex(Path(args.salt_file).read_text()) if args.salt_file \
-        else _load_salt(args)
-    quality = evaluate(anomalies, truth, salt=salt)
+    quality = evaluate(anomalies, truth, salt=_load_salt(args))
 
     rows = {t.value: q.to_json_dict() for t, q in quality.items()
             if not isinstance(t, str)}
@@ -280,9 +271,9 @@ _COMMANDS = {
     "serve": _cmd_serve,
 }
 
-_INPUT_ERRORS = (IngestError, InvalidMacFormat, MalformedLine, ValidationError,
-                 InvalidConfig, FileNotFoundError, descriptive.InsufficientData,
-                 json.JSONDecodeError, ValueError)
+# Every file the CLI decodes is outside input, hence UnicodeDecodeError.
+_INPUT_ERRORS = (InputError, FileNotFoundError, json.JSONDecodeError,
+                 UnicodeDecodeError)
 
 
 def main(argv=None) -> int:
@@ -296,12 +287,6 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as e:
         print(f"wlantel {args.command}: {e}", file=sys.stderr)
         return 1
-    except PipelineError as e:
-        if isinstance(e.cause, _INPUT_ERRORS):
-            print(f"wlantel {args.command}: {e}", file=sys.stderr)
-            return 1
-        print(f"wlantel {args.command}: internal error: {e}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         return 1
     except Exception as e:  # anything else is an internal error

@@ -36,6 +36,7 @@ from .domain import (
     DailyAggregate,
     DeviceId,
     EventKind,
+    InputError,
     Protocol,
     SessionRecord,
 )
@@ -44,7 +45,7 @@ DEFAULT_OVERLOAD_THRESHOLD = 50      # concurrent clients per AP
 DEFAULT_SHORT_SESSION_MINUTES = 1.0  # below this a disassoc is "unexpected"
 
 
-class InsufficientData(ValueError):
+class InsufficientData(InputError):
     pass
 
 

@@ -7,7 +7,7 @@ from typing import Mapping
 
 # bench/tracer.py patches pair_sessions here as well, so the name must stay.
 from ..descriptive import pair_sessions  # noqa: F401
-from ..domain import AnomalyEvent, AnomalyType, DailyAggregate, Detector, Protocol
+from ..domain import AnomalyEvent, AnomalyType, DailyAggregate, Detector, InputError, Protocol
 
 from .features import STD_FLOOR
 from .thresholds import DEFAULT_K
@@ -26,7 +26,7 @@ def detect_duplicate_devices(device_days: Mapping,
     resp. the number of APs held concurrently.
     """
     if max_concurrent < 1:
-        raise ValueError("max_concurrent must be >= 1")
+        raise InputError("max_concurrent must be >= 1")
 
     events = []
     for (device, day), (peak, aps) in device_days.items():

@@ -7,7 +7,7 @@ import statistics
 from datetime import date
 from typing import Sequence
 
-from ..domain import AnomalyEvent, AnomalyType, Detector
+from ..domain import AnomalyEvent, AnomalyType, Detector, InputError
 
 from .features import STD_FLOOR
 
@@ -31,9 +31,9 @@ def dynamic_threshold_alerts(series: Sequence[tuple[date, float]],
     Event score is |x_t - mu| / max(sigma, floor).
     """
     if window < 5:
-        raise ValueError("window must be >= 5")
-    if k <= 0:
-        raise ValueError("k must be > 0")
+        raise InputError("window must be >= 5")
+    if not k > 0:
+        raise InputError("k must be > 0")
     if len(series) <= window:
         raise SeriesTooShort(f"need more than {window} points, got {len(series)}")
 

@@ -31,7 +31,15 @@ DEVICE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
 AP_ID_RE = re.compile(r"^AP-[0-9]+$")
 
 
-class ValidationError(ValueError):
+class InputError(ValueError):
+    """The caller's input is wrong: a bad record, file, option or setting.
+
+    The CLI exits 1 on this class and 2 on any other exception, so raise it
+    only where outside input is read.
+    """
+
+
+class ValidationError(InputError):
     """Base class for record validation failures."""
 
     def __init__(self, field_name: str, message: str):
@@ -173,6 +181,14 @@ _OPTIONAL_FIELDS = ("session_minutes", "bytes_up", "bytes_down", "proto",
                     "latency_ms", "loss_pct")
 
 
+# The instants the pipeline can do date arithmetic on: the local form of
+# the first one (LOCAL_TZ is behind UTC) and a session plus one day after
+# the last one must be representable.
+_TS_MIN = datetime.min.replace(tzinfo=timezone.utc) - LOCAL_TZ.utcoffset(None)
+_TS_MAX = (datetime.max.replace(microsecond=0, tzinfo=timezone.utc)
+           - timedelta(days=1, minutes=MAX_SESSION_MINUTES))
+
+
 def _parse_ts(raw) -> datetime:
     if isinstance(raw, datetime):
         ts = raw
@@ -185,7 +201,24 @@ def _parse_ts(raw) -> datetime:
         raise FieldOutOfRange("ts", f"unsupported timestamp type {type(raw).__name__}")
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        ts = ts.astimezone(timezone.utc).replace(microsecond=0)
+        if _TS_MIN <= ts <= _TS_MAX:
+            return ts
+    except OverflowError:
+        pass
+    raise FieldOutOfRange("ts", f"out of range [{_TS_MIN.isoformat()}, {_TS_MAX.isoformat()}]: {raw!r}")
+
+
+def _number(raw: dict, name: str, high: float) -> float:
+    """The one rule for a float field: a finite number in [0, high]."""
+    try:
+        value = float(raw[name])
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not (math.isfinite(value) and 0.0 <= value <= high):
+        raise FieldOutOfRange(name, f"must be a finite number in [0, {high:g}]")
+    return value
 
 
 def validate(raw: dict) -> SessionRecord:
@@ -219,12 +252,7 @@ def validate(raw: dict) -> SessionRecord:
 
     kwargs: dict = {}
     if kind is EventKind.DISASSOC:
-        sm = float(raw["session_minutes"])
-        if not math.isfinite(sm) or sm < 0:
-            raise FieldOutOfRange("session_minutes", "must be finite and >= 0")
-        if sm > MAX_SESSION_MINUTES:
-            raise FieldOutOfRange("session_minutes", f"exceeds {MAX_SESSION_MINUTES}")
-        kwargs["session_minutes"] = sm
+        kwargs["session_minutes"] = _number(raw, "session_minutes", MAX_SESSION_MINUTES)
     elif kind is EventKind.TRAFFIC:
         for f in ("bytes_up", "bytes_down"):
             b = raw[f]
@@ -237,14 +265,8 @@ def validate(raw: dict) -> SessionRecord:
         except ValueError:
             raise FieldOutOfRange("proto", f"unknown protocol {raw['proto']!r}")
     elif kind is EventKind.AP_HEALTH:
-        lat = float(raw["latency_ms"])
-        if not math.isfinite(lat) or lat < 0:
-            raise FieldOutOfRange("latency_ms", "must be finite and >= 0")
-        loss = float(raw["loss_pct"])
-        if not math.isfinite(loss) or not (0.0 <= loss <= 100.0):
-            raise FieldOutOfRange("loss_pct", "must lie in [0, 100]")
-        kwargs["latency_ms"] = lat
-        kwargs["loss_pct"] = loss
+        kwargs["latency_ms"] = _number(raw, "latency_ms", math.inf)
+        kwargs["loss_pct"] = _number(raw, "loss_pct", 100.0)
 
     return SessionRecord(ts=ts, device=device, ap=ap, kind=kind, **kwargs)
 

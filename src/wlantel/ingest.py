@@ -21,6 +21,7 @@ from .domain import (
     MAC_RE,
     DEVICE_ID_RE,
     DeviceId,
+    InputError,
     SessionRecord,
     ValidationError,
     validate,
@@ -34,7 +35,7 @@ _INT_FIELDS = ("bytes_up", "bytes_down")
 _FLOAT_FIELDS = ("session_minutes", "latency_ms", "loss_pct")
 
 
-class IngestError(Exception):
+class IngestError(InputError):
     pass
 
 
@@ -57,14 +58,17 @@ class Salt:
 
     def __post_init__(self):
         if len(self.value) != 16:
-            raise ValueError("salt must be exactly 16 bytes")
+            raise IngestError("salt must be exactly 16 bytes")
 
     def __repr__(self):
         return "Salt(<redacted>)"
 
     @classmethod
     def from_hex(cls, hex_str: str) -> "Salt":
-        return cls(bytes.fromhex(hex_str.strip()))
+        try:
+            return cls(bytes.fromhex(hex_str.strip()))
+        except ValueError:
+            raise IngestError("salt must be 32 hex digits") from None
 
     @classmethod
     def from_env(cls, environ=os.environ) -> "Salt":
@@ -115,39 +119,39 @@ def parse_session_log(stream: TextIO, format: str = "jsonl",
     counted in ``stats`` and skipped.  Memory use is bounded regardless of
     file size.
     """
+    stats = IngestStats() if stats is None else stats
     if format == "jsonl":
         yield from _parse_jsonl(stream, strict, stats)
     elif format == "csv":
         yield from _parse_csv(stream, strict, stats)
     else:
-        raise ValueError(f"unknown format {format!r} (expected jsonl or csv)")
+        raise IngestError(f"unknown format {format!r} (expected jsonl or csv)")
+
+
+def _reject(stats: IngestStats, strict: bool, line_no: int, reason: str,
+            message: str) -> None:
+    """The one reject path for a bad line: raise MalformedLine naming it
+    when strict, otherwise count it under ``reason`` for the caller to skip."""
+    if strict:
+        raise MalformedLine(line_no, message)
+    stats.record_error(reason)
 
 
 def _parse_jsonl(stream, strict, stats):
     for line_no, line in enumerate(stream, start=1):
-        if stats is not None:
-            stats.lines_read += 1
+        stats.lines_read += 1
         line = line.strip()
         if not line:
-            if stats is not None:
-                stats.record_error("blank_line")
+            stats.record_error("blank_line")
             continue
         try:
             raw = json.loads(line)
-            if not isinstance(raw, dict):
-                raise MalformedLine(line_no, "line is not a JSON object")
-        except json.JSONDecodeError as e:
-            err = MalformedLine(line_no, f"invalid JSON: {e.msg}")
-            if strict:
-                raise err
-            if stats is not None:
-                stats.record_error("invalid_json")
+        # JSONDecodeError, an int past the digit limit, or nesting too deep
+        except (ValueError, RecursionError) as e:
+            _reject(stats, strict, line_no, "invalid_json", f"invalid JSON: {e}")
             continue
-        except MalformedLine as err:
-            if strict:
-                raise
-            if stats is not None:
-                stats.record_error("not_an_object")
+        if not isinstance(raw, dict):
+            _reject(stats, strict, line_no, "not_an_object", "line is not a JSON object")
             continue
         yield line_no, raw
 
@@ -155,8 +159,7 @@ def _parse_jsonl(stream, strict, stats):
 def _parse_csv(stream, strict, stats):
     reader = csv.DictReader(stream)
     for line_no, row in enumerate(reader, start=2):  # line 1 is the header
-        if stats is not None:
-            stats.lines_read += 1
+        stats.lines_read += 1
         raw: dict = {}
         try:
             for col in _CSV_COLUMNS:
@@ -170,11 +173,7 @@ def _parse_csv(stream, strict, stats):
                 else:
                     raw[col] = val
         except ValueError as e:
-            err = MalformedLine(line_no, f"bad cell value: {e}")
-            if strict:
-                raise err
-            if stats is not None:
-                stats.record_error("bad_cell")
+            _reject(stats, strict, line_no, "bad_cell", f"bad cell value: {e}")
             continue
         yield line_no, raw
 
@@ -182,37 +181,29 @@ def _parse_csv(stream, strict, stats):
 def ingest_records(raw_records: Iterable[tuple[int, dict]], salt: Optional[Salt],
                    strict: bool = False, pre_anonymized: bool = False,
                    stats: Optional[IngestStats] = None) -> Iterator[SessionRecord]:
-    """Anonymize + validate a stream of (line_no, raw dict) pairs."""
+    """Anonymize + validate a stream of (line_no, raw dict) pairs.
+
+    A bad line goes through `_reject`; a missing salt stops the whole ingest.
+    """
+    stats = IngestStats() if stats is None else stats
     for line_no, raw in raw_records:
         device = raw.get("device")
+        raw_mac = isinstance(device, str) and not DEVICE_ID_RE.match(device)
+        if raw_mac and pre_anonymized:
+            _reject(stats, strict, line_no, "bad_device_id",
+                    f"expected pre-anonymized device id, got {device!r}")
+            continue
         try:
-            if isinstance(device, str) and not DEVICE_ID_RE.match(device):
-                if pre_anonymized:
-                    raise MalformedLine(line_no, f"expected pre-anonymized device id, got {device!r}")
+            if raw_mac:
                 if salt is None:
                     raise IngestError("a salt is required to anonymize raw MACs")
                 raw = dict(raw, device=anonymize_device(device, salt))
             record = validate(raw)
-        except MalformedLine:
-            if strict:
-                raise
-            if stats is not None:
-                stats.record_error("bad_device_id")
+        except (InvalidMacFormat, ValidationError) as e:
+            reason = "invalid_mac" if isinstance(e, InvalidMacFormat) else type(e).__name__
+            _reject(stats, strict, line_no, reason, str(e))
             continue
-        except InvalidMacFormat as e:
-            if strict:
-                raise MalformedLine(line_no, str(e))
-            if stats is not None:
-                stats.record_error("invalid_mac")
-            continue
-        except ValidationError as e:
-            if strict:
-                raise MalformedLine(line_no, str(e))
-            if stats is not None:
-                stats.record_error(type(e).__name__)
-            continue
-        if stats is not None:
-            stats.accepted += 1
+        stats.accepted += 1
         yield record
 
 

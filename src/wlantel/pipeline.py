@@ -54,13 +54,6 @@ THRESHOLD_SERIES = (
 )
 
 
-class PipelineError(Exception):
-    def __init__(self, stage: str, cause: Exception):
-        self.stage = stage
-        self.cause = cause
-        super().__init__(f"stage {stage!r} failed: {cause}")
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     overload_threshold: int = DEFAULT_OVERLOAD_THRESHOLD
@@ -109,10 +102,7 @@ def run_pipeline(records: Sequence[SessionRecord],
 
     def staged(name, fn):
         t0 = time.perf_counter()
-        try:
-            result = fn()
-        except Exception as e:  # attribute failures to their stage
-            raise PipelineError(name, e) from e
+        result = fn()
         timings[name] = round(time.perf_counter() - t0, 4)
         return result
 
@@ -191,12 +181,13 @@ def run_pipeline(records: Sequence[SessionRecord],
     )
 
 
-def save_run(run: AnalysisRun, rundir: str) -> None:
+def save_run(run: AnalysisRun, rundir: str, ingest: Optional[dict] = None) -> None:
     """Persist a run as a directory of JSON artifacts plus a manifest.
 
     Every file except the manifest is a pure function of (input, config),
-    so reruns byte-match; run id, creation time, and timings live only in
-    the manifest.
+    so reruns byte-match; run id, creation time, timings, and the ingest's
+    accept/skip counts (``ingest``, `IngestStats.to_json_dict`) live only
+    in the manifest.
     """
     out = Path(rundir)
     out.mkdir(parents=True, exist_ok=True)
@@ -219,6 +210,7 @@ def save_run(run: AnalysisRun, rundir: str) -> None:
         "digest_algorithm": DIGEST_ALGORITHM,
         "config": run.config.to_json_dict(),
         "timings": run.timings,
+        "ingest": ingest,
         "artifacts": sorted(artifacts),
     })
 

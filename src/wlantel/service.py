@@ -13,6 +13,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
+from .domain import InputError
 from .pipeline import StoredRun, load_run
 
 
@@ -64,7 +65,13 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def make_server(snapshot: StoredRun, addr: str = "127.0.0.1:8080") -> ThreadingHTTPServer:
-    host, _, port = addr.rpartition(":")
+    host, _, port_text = addr.rpartition(":")
+    try:
+        port = int(port_text)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise InputError(f"port must be a number in 0-65535, got {port_text!r}")
     text = "text/plain; charset=utf-8"
     routes = {
         "/healthz": (text, b"ok\n"),
@@ -73,7 +80,7 @@ def make_server(snapshot: StoredRun, addr: str = "127.0.0.1:8080") -> ThreadingH
                     (json.dumps(snapshot.anomalies) + "\n").encode("utf-8")),
     }
     handler = type("RunHandler", (_Handler,), {"routes": routes})
-    return ThreadingHTTPServer((host or "127.0.0.1", int(port)), handler)
+    return ThreadingHTTPServer((host or "127.0.0.1", port), handler)
 
 
 def start_background(rundir: str, addr: str = "127.0.0.1:0") -> tuple[ThreadingHTTPServer, threading.Thread]:

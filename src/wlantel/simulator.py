@@ -17,16 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .domain import LOCAL_TZ, AnomalyType
+from .domain import LOCAL_TZ, AnomalyType, InputError
 
 UTC = timezone.utc
 
 
-class InvalidConfig(ValueError):
+class InvalidConfig(InputError):
     pass
 
 
@@ -103,9 +103,14 @@ class SimConfig:
         if abs(sum(self.proto_mix.values()) - 1.0) > 1e-9:
             raise InvalidConfig("proto_mix must sum to 1")
         for name in ("weekday_users", "weekend_users", "auth_fail_mean",
-                     "bytes_per_session_mean", "session_minutes_median"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfig(f"{name} must be positive")
+                     "bytes_per_session_mean", "session_minutes_median",
+                     "device_pool"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be positive and finite")
+        for name in ("day_noise_sigma", "session_minutes_sigma",
+                     "bytes_per_session_sigma", "device_event_rate"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be finite and >= 0")
 
     def with_overrides(self, overrides: dict) -> "SimConfig":
         kwargs = {}
@@ -113,16 +118,19 @@ class SimConfig:
             if not hasattr(self, key):
                 raise InvalidConfig(f"unknown config key {key!r}")
             current = getattr(self, key)
-            if isinstance(current, bool):
-                kwargs[key] = str(value).lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                kwargs[key] = int(value)
-            elif isinstance(current, float):
-                kwargs[key] = float(value)
-            elif isinstance(current, date):
-                kwargs[key] = date.fromisoformat(str(value))
-            else:
-                kwargs[key] = value
+            if isinstance(current, dict):
+                raise InvalidConfig(f"{key} cannot be overridden")
+            try:
+                if isinstance(current, bool):
+                    kwargs[key] = str(value).lower() in ("1", "true", "yes")
+                elif isinstance(current, int):
+                    kwargs[key] = int(value)
+                elif isinstance(current, float):
+                    kwargs[key] = float(value)
+                else:
+                    kwargs[key] = date.fromisoformat(str(value))
+            except ValueError as e:
+                raise InvalidConfig(f"bad value for {key}: {e}") from None
         return replace(self, **kwargs)
 
 
@@ -163,8 +171,11 @@ class GroundTruth:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GroundTruth":
-        return cls(injections=tuple(Injection.from_json_dict(i)
-                                    for i in d["injections"]))
+        try:
+            return cls(injections=tuple(Injection.from_json_dict(i)
+                                        for i in d["injections"]))
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError(f"not a labels file: {type(e).__name__}: {e}") from None
 
 
 def _device_mac(index: int) -> str:
@@ -321,8 +332,7 @@ def generate_month(config: SimConfig = SimConfig(), seed: int = 42) -> tuple[lis
                     day=day, type=AnomalyType.DNS_ANOMALY, magnitude=dns_factor))
                 continue
             recs, inj, anomaly_device_counter = _inject_one(
-                etype, config, rng, day, ap_names,
-                float(np.sum(bytes_total)), anomaly_device_counter)
+                etype, config, rng, day, ap_names, anomaly_device_counter)
             records.extend(recs)
             injections.append(inj)
 
@@ -381,16 +391,13 @@ def _plan_day(config: SimConfig, rng: np.random.Generator) -> list:
 
 
 def _inject_one(etype, config: SimConfig, rng: np.random.Generator, day: date,
-                ap_names: list[str], day_traffic_bytes: float,
-                counter: int) -> tuple[list[dict], Injection, int]:
+                ap_names: list[str], counter: int) -> tuple[list[dict], Injection, int]:
     if etype is AnomalyType.DUPLICATE_DEVICE:
         return _inject_duplicate(config, rng, day, ap_names, counter)
     if etype is AnomalyType.SIMULTANEOUS_CONNECTIONS:
         return _inject_simultaneous(config, rng, day, ap_names, counter)
     if etype is AnomalyType.AUTH_BURST:
         return _inject_auth_burst(config, rng, day, ap_names, counter)
-    if etype is AnomalyType.DNS_ANOMALY:
-        return _inject_dns(config, rng, day, ap_names, day_traffic_bytes, counter)
     if etype is AnomalyType.TRAFFIC_SPIKE:
         return _inject_traffic_spike(config, rng, day, ap_names, counter)
     raise InvalidConfig(f"cannot inject anomaly type {etype.value}")
@@ -445,26 +452,6 @@ def _inject_auth_burst(config, rng, day, ap_names, counter):
     return records, inj, counter
 
 
-def _inject_dns(config, rng, day, ap_names, day_traffic_bytes, counter):
-    factor = rng.uniform(4.0, 8.0)
-    extra_bytes = day_traffic_bytes * config.proto_mix["dns"] * (factor - 1.0)
-    cohort_size = int(rng.integers(5, 16))
-    macs, counter = _next_anomaly_devices(counter, cohort_size)
-    ap = ap_names[int(rng.integers(len(ap_names)))]
-    records = []
-    per_device = extra_bytes / cohort_size
-    for mac in macs:
-        t = rng.uniform(9 * 3600.0, 17 * 3600.0)
-        total = int(per_device)
-        up = int(total * 0.45)  # query-heavy: uplink share is unusually high
-        records.append({"ts": _ts_string(day, t), "device": mac, "ap": ap,
-                        "kind": "traffic", "bytes_up": up,
-                        "bytes_down": total - up, "proto": "dns"})
-    inj = Injection(day=day, type=AnomalyType.DNS_ANOMALY,
-                    devices=tuple(macs), aps=(ap,), magnitude=factor)
-    return records, inj, counter
-
-
 def _inject_traffic_spike(config, rng, day, ap_names, counter):
     (mac,), counter = _next_anomaly_devices(counter, 1)
     ap = ap_names[int(rng.integers(len(ap_names)))]
@@ -485,39 +472,3 @@ def _inject_traffic_spike(config, rng, day, ap_names, counter):
     inj = Injection(day=day, type=AnomalyType.TRAFFIC_SPIKE,
                     devices=(mac,), aps=(ap,), magnitude=extra_gb)
     return records, inj, counter
-
-
-def inject_anomalies(records: list[dict], spec: Sequence[dict],
-                     seed: int = 0) -> tuple[list[dict], GroundTruth]:
-    """Superimpose crafted anomalies onto an existing sorted trace.
-
-    ``spec`` entries are {"day": iso date, "type": anomaly type value};
-    original records are returned unchanged, with injected records
-    interleaved in time order.
-    """
-    config = SimConfig()
-    rng = np.random.default_rng(seed)
-    ap_names = sorted({r["ap"] for r in records}) or _ap_names(config.ap_count)
-    counter = 0
-    injected: list[dict] = []
-    injections: list[Injection] = []
-
-    day_bytes: dict = {}
-    for r in records:
-        if r["kind"] == "traffic":
-            d = _local_day_of(r["ts"])
-            day_bytes[d] = day_bytes.get(d, 0) + r["bytes_up"] + r["bytes_down"]
-
-    for entry in spec:
-        day = date.fromisoformat(entry["day"])
-        etype = AnomalyType(entry["type"])
-        recs, inj, counter = _inject_one(etype, config, rng, day, ap_names,
-                                         day_bytes.get(day, 0.0), counter)
-        injected.extend(recs)
-        injections.append(inj)
-
-    return _sorted_records(list(records) + injected), GroundTruth(tuple(injections))
-
-
-def _local_day_of(ts: str) -> date:
-    return datetime.fromisoformat(ts.replace("Z", "+00:00")).astimezone(LOCAL_TZ).date()

@@ -129,6 +129,36 @@ class TestValidate:
         with pytest.raises(FieldOutOfRange):
             validate(raw_record(ts="yesterday"))
 
+    # The UTC form, the local form, and a session plus one day later must
+    # all be representable datetimes.
+    @pytest.mark.parametrize("ts", ["0001-01-01T00:00:00+05:00",
+                                    "0001-01-01T01:00:00Z",
+                                    "9999-12-31T23:59:59Z"])
+    def test_timestamp_without_date_arithmetic_rejected(self, ts):
+        with pytest.raises(FieldOutOfRange) as exc:
+            validate(raw_record(ts=ts))
+        assert exc.value.field_name == "ts"
+
+    def test_far_but_representable_timestamp_accepted(self):
+        r = validate(raw_record(ts="2999-01-01T00:00:00Z"))
+        assert r.ts == datetime(2999, 1, 1, tzinfo=timezone.utc)
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("disassoc", "session_minutes", "abc"),
+        ("disassoc", "session_minutes", float("inf")),
+        ("disassoc", "session_minutes", 10**400),
+        ("ap_health", "latency_ms", [1]),
+        ("ap_health", "latency_ms", float("nan")),
+        ("ap_health", "loss_pct", {"x": 1}),
+    ])
+    def test_non_numeric_or_non_finite_value_rejected(self, kind, field, value):
+        raw = raw_record(kind=kind, **{field: value})
+        if kind == "ap_health":
+            raw = {"latency_ms": 10.0, "loss_pct": 1.0, **raw}
+        with pytest.raises(FieldOutOfRange) as exc:
+            validate(raw)
+        assert exc.value.field_name == field
+
     def test_error_names_offending_field(self):
         with pytest.raises(ValidationError) as exc:
             validate(raw_record(kind="disassoc", session_minutes=-3))

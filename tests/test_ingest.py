@@ -55,6 +55,11 @@ class TestSalt:
         with pytest.raises(IngestError):
             Salt.from_env(environ={})
 
+    @pytest.mark.parametrize("text", ["zz", "00" * 8, "00" * 17])
+    def test_from_hex_rejects_bad_text(self, text):
+        with pytest.raises(IngestError):
+            Salt.from_hex(text)
+
 
 class TestAnonymizeDevice:
     def test_output_is_device_id_not_mac(self, salt):
@@ -93,6 +98,12 @@ class TestParseJsonl:
         assert stats.lines_read == 3
         assert stats.errors["invalid_json"] == 1
         assert stats.errors["not_an_object"] == 1
+
+    def test_unparseable_json_values_counted(self):
+        stats = IngestStats()
+        stream = io.StringIO('{"n": ' + "1" * 5000 + '}\n' + "[" * 100000 + "\n")
+        assert list(parse_session_log(stream, stats=stats)) == []
+        assert stats.errors == {"invalid_json": 2}
 
     def test_strict_raises_with_line_number(self):
         stream = io.StringIO('{"ok": 1}\nnot json\n')
@@ -171,6 +182,21 @@ class TestIngestStream:
         bad = dict(assoc(), kind="disassoc")
         with pytest.raises(MalformedLine):
             ingest_stream(jsonl(bad), salt, strict=True)
+
+    @pytest.mark.parametrize("bad", [
+        dict(assoc(), kind="disassoc", session_minutes="abc"),
+        dict(assoc(), kind="ap_health", latency_ms=[1], loss_pct=1.0),
+        assoc(ts="0001-01-01T00:00:00+05:00"),
+        assoc(ts="0001-01-01T01:00:00Z"),
+        assoc(ts="9999-12-31T23:59:59Z"),
+    ])
+    def test_bad_value_skipped_or_strict_names_line(self, salt, bad):
+        records, stats = ingest_stream(jsonl(assoc(), bad), salt)
+        assert len(records) == 1
+        assert stats.errors == {"FieldOutOfRange": 1}
+        with pytest.raises(MalformedLine) as exc:
+            ingest_stream(jsonl(assoc(), bad), salt, strict=True)
+        assert exc.value.line_no == 2
 
     def test_accounting_invariant(self, salt):
         stream = jsonl(assoc(), dict(assoc(), kind="bogus"), assoc(mac="nope"))

@@ -3,6 +3,7 @@ service."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -14,10 +15,12 @@ import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import wlantel
+from wlantel import descriptive
 from wlantel.cli import main
 from wlantel.pipeline import save_run
 from wlantel.report import AP_CSV_HEADER, METRICS_CSV_HEADER, render_report
@@ -150,12 +153,153 @@ class TestCliPipeline:
         assert quality["overall_recall"] is None or \
             0.0 <= quality["overall_recall"] <= 1.0
 
+    def test_run_records_ingest_counts_in_manifest(self, small_trace, salt_file,
+                                                   tmp_path):
+        trace = _with_bad_lines(SimpleNamespace(trace=small_trace[0], tmp=tmp_path),
+                                "session-minutes-abc", "latency-list")
+        rundir = tmp_path / "run"
+        assert main(["--quiet", "run", "--in", trace, "--salt-file", salt_file,
+                     "--out", str(rundir)]) == 0
+        ingest = json.loads((rundir / "manifest.json").read_text(encoding="utf-8"))["ingest"]
+        assert ingest["errors"] == {"FieldOutOfRange": 2}
+        assert ingest["accepted"] + ingest["skipped"] == ingest["lines_read"]
+
     def test_run_on_corrupt_input_exits_1(self, tmp_path, salt_file, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json at all\n")
         code = main(["run", "--in", str(bad), "--salt-file", salt_file,
                      "--out", str(tmp_path / "run"), "--strict"])
         assert code == 1
+
+
+BASE_LINE = {"ts": "2025-03-05T15:00:00Z", "device": "aa:bb:cc:dd:ee:ff",
+             "ap": "AP-101", "kind": "assoc"}
+
+# Lines a non-strict ingest skips as FieldOutOfRange and a strict one rejects.
+BAD_LINES = {
+    "session-minutes-abc": {"kind": "disassoc", "session_minutes": "abc"},
+    "latency-list": {"kind": "ap_health", "latency_ms": [1], "loss_pct": 1.0},
+    "ts-year-1-plus-5h": {"ts": "0001-01-01T00:00:00+05:00"},
+    "ts-year-1-local": {"ts": "0001-01-01T01:00:00Z"},
+    "ts-year-9999": {"ts": "9999-12-31T23:59:59Z"},
+}
+
+
+def _file(t, name: str, content) -> str:
+    path = t.tmp / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return str(path)
+
+
+def _with_bad_lines(t, *names) -> str:
+    """The small trace with the named BAD_LINES appended."""
+    lines = "".join(json.dumps(dict(BASE_LINE, **BAD_LINES[n])) + "\n" for n in names)
+    return _file(t, "in.jsonl", t.trace.read_text(encoding="utf-8") + lines)
+
+
+def _first_six_days(t) -> str:
+    # The trace starts on local day 2025-03-03 (UTC-5).
+    with open(t.trace, encoding="utf-8") as fh:
+        kept = [line for line in fh if json.loads(line)["ts"] < "2025-03-09T05:00:00Z"]
+    return _file(t, "six_days.jsonl", "".join(kept))
+
+
+def _ingest(t, trace=None, *extra):
+    return ["ingest", "--in", trace or str(t.trace), "--salt-file", t.salt, *extra]
+
+
+def _run(t, trace=None, *extra):
+    return ["run", "--in", trace or str(t.trace), "--salt-file", t.salt,
+            "--out", str(t.tmp / "run"), *extra]
+
+
+def _taken_port(t) -> str:
+    taken = t.stack.enter_context(socket.socket())
+    taken.bind(("127.0.0.1", 0))
+    taken.listen()
+    return f"127.0.0.1:{taken.getsockname()[1]}"
+
+
+def _bug_in_stage(t):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not bad input")
+    t.monkeypatch.setattr(descriptive, "describe", broken)
+    return _run(t)
+
+
+def _ingest_skipped_one(t, captured):
+    stats = json.loads(captured.out)
+    assert stats["errors"] == {"FieldOutOfRange": 1}
+    assert stats["accepted"] + stats["skipped"] == stats["lines_read"]
+
+
+def _run_skipped_one(t, captured):
+    manifest = json.loads((t.tmp / "run" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["ingest"]["errors"] == {"FieldOutOfRange": 1}
+
+
+def _internal_error(t, captured):
+    assert "wlantel run: internal error: a bug, not bad input" in captured.err
+
+
+# case -> (argv builder, expected exit code, check on the output or None)
+EXIT_CASES = {
+    **{f"ingest-{n}": (lambda t, n=n: _ingest(t, _with_bad_lines(t, n)), 0, _ingest_skipped_one)
+       for n in ("session-minutes-abc", "latency-list")},
+    **{f"run-{n}": (lambda t, n=n: _run(t, _with_bad_lines(t, n)), 0, _run_skipped_one)
+       for n in BAD_LINES if n.startswith("ts-")},
+    **{f"strict-{n}": (lambda t, n=n: _ingest(t, _with_bad_lines(t, n), "--strict"), 1, None)
+       for n in BAD_LINES},
+    "serve-port-99999": (lambda t: ["serve", "--run", t.run, "--addr", "127.0.0.1:99999"], 1, None),
+    "serve-port-abc": (lambda t: ["serve", "--run", t.run, "--addr", "127.0.0.1:abc"], 1, None),
+    "labels-empty": (
+        lambda t: ["evaluate", "--run", t.run, "--labels", _file(t, "labels.json", "{}")],
+        1, None),
+    "labels-bad-day": (
+        lambda t: ["evaluate", "--run", t.run, "--labels", _file(
+            t, "labels.json", '{"injections": [{"day": "nope", "type": "auth_burst"}]}')],
+        1, None),
+    "bug-in-stage": (_bug_in_stage, 2, _internal_error),
+    "salt-not-hex": (
+        lambda t: ["ingest", "--in", str(t.trace), "--salt-file", _file(t, "zz.hex", "zz")],
+        1, None),
+    "window-3": (lambda t: _run(t, None, "--window", "3"), 1, None),
+    "k-0": (lambda t: _run(t, None, "--k", "0"), 1, None),
+    "max-concurrent-0": (lambda t: _run(t, None, "--max-concurrent", "0"), 1, None),
+    "set-days-abc": (
+        lambda t: ["simulate", "--out", str(t.tmp / "sim.jsonl"), "--set", "days=abc"], 1, None),
+    "non-utf8-line": (
+        lambda t: _ingest(t, _file(t, "latin1.jsonl",
+                                   t.trace.read_bytes() + b'{"ap": "AP-\xe9"}\n')),
+        1, None),
+    "missing-in": (lambda t: _ingest(t, str(t.tmp / "missing.jsonl")), 1, None),
+    "missing-run": (lambda t: ["recommend", "--run", str(t.tmp / "missing")], 1, None),
+    "fewer-than-7-days": (lambda t: _run(t, _first_six_days(t)), 1, None),
+    "bind-failure": (lambda t: ["serve", "--run", t.run, "--addr", _taken_port(t)], 2, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_codes(case, small_trace, salt_file, saved_run, tmp_path,
+                    monkeypatch, capsys):
+    """0 success, 1 input error, 2 internal error, one row per input."""
+    build, expected, check = EXIT_CASES[case]
+    with contextlib.ExitStack() as stack:
+        t = SimpleNamespace(trace=small_trace[0], salt=salt_file, run=str(saved_run),
+                            tmp=tmp_path, monkeypatch=monkeypatch, stack=stack)
+        code = main(["--quiet", *build(t)])
+    captured = capsys.readouterr()
+    assert code == expected, captured.err
+    if expected == 1:
+        assert "internal error" not in captured.err
+    if case.startswith("strict-"):
+        n_lines = len(small_trace[0].read_text(encoding="utf-8").splitlines())
+        assert f"line {n_lines + 1}:" in captured.err
+    if check is not None:
+        check(t, captured)
 
 
 class TestReport:

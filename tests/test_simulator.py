@@ -1,5 +1,5 @@
 """Synthetic month generator: determinism, record well-formedness,
-injection accounting, and the standalone superposition injector."""
+and injection accounting."""
 
 from __future__ import annotations
 
@@ -9,14 +9,13 @@ from datetime import date, datetime, timedelta
 
 import pytest
 
-from wlantel.domain import LOCAL_TZ, MAC_RE, AnomalyType, validate
+from wlantel.domain import LOCAL_TZ, MAC_RE, AnomalyType, InputError, validate
 from wlantel.simulator import (
     GroundTruth,
     Injection,
     InvalidConfig,
     SimConfig,
     generate_month,
-    inject_anomalies,
 )
 
 SMALL = SimConfig(days=8, weekday_users=400.0, weekend_users=250.0,
@@ -54,6 +53,15 @@ class TestConfig:
     def test_overrides_reject_unknown_key(self):
         with pytest.raises(InvalidConfig):
             SimConfig().with_overrides({"typo": "1"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("days", "abc"), ("weekday_users", "many"), ("start_day", "soon"),
+        ("proto_mix", "dns"), ("weekday_users", "nan"), ("device_pool", "0"),
+        ("day_noise_sigma", "-1"),
+    ])
+    def test_overrides_reject_bad_values(self, key, value):
+        with pytest.raises(InvalidConfig):
+            SimConfig().with_overrides({key: value})
 
 
 class TestGenerateMonth:
@@ -155,32 +163,10 @@ class TestGroundTruthSerialization:
                         magnitude=200.0)
         assert Injection.from_json_dict(inj.to_json_dict()) == inj
 
-
-class TestInjectAnomalies:
-    def test_pure_superposition(self, small_month):
-        records, _ = small_month
-        spec = [{"day": SMALL.start_day.isoformat(), "type": "auth_burst"},
-                {"day": (SMALL.start_day + timedelta(days=2)).isoformat(),
-                 "type": "traffic_spike"}]
-        combined, truth = inject_anomalies(records, spec, seed=1)
-        # Original records unchanged and all present.
-        index = Counter(json.dumps(r, sort_keys=True) for r in combined)
-        for r in records:
-            assert index[json.dumps(r, sort_keys=True)] >= 1
-        assert len(combined) > len(records)
-        assert [inj.type.value for inj in truth.injections] == \
-            ["auth_burst", "traffic_spike"]
-
-    def test_result_stays_time_sorted(self, small_month):
-        records, _ = small_month
-        spec = [{"day": SMALL.start_day.isoformat(), "type": "dns_anomaly"}]
-        combined, _ = inject_anomalies(records, spec, seed=2)
-        timestamps = [r["ts"] for r in combined]
-        assert timestamps == sorted(timestamps)
-
-    def test_deterministic(self, small_month):
-        records, _ = small_month
-        spec = [{"day": SMALL.start_day.isoformat(), "type": "duplicate_device"}]
-        a = inject_anomalies(records, spec, seed=9)
-        b = inject_anomalies(records, spec, seed=9)
-        assert a == b
+    @pytest.mark.parametrize("payload", [
+        {}, [], {"injections": [{"day": "nope", "type": "auth_burst"}]},
+        {"injections": [{"day": "2025-03-10"}]},
+    ])
+    def test_bad_labels_are_input_errors(self, payload):
+        with pytest.raises(InputError):
+            GroundTruth.from_json_dict(payload)
