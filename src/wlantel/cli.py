@@ -271,9 +271,10 @@ _COMMANDS = {
     "serve": _cmd_serve,
 }
 
-# Every file the CLI decodes is outside input, hence UnicodeDecodeError.
-_INPUT_ERRORS = (InputError, FileNotFoundError, json.JSONDecodeError,
-                 UnicodeDecodeError)
+# Every file the CLI decodes is outside input, hence UnicodeDecodeError; a
+# path that names a directory where a file belongs, or the reverse, is too.
+_INPUT_ERRORS = (InputError, FileNotFoundError, IsADirectoryError,
+                 NotADirectoryError, json.JSONDecodeError, UnicodeDecodeError)
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 LOCAL_TZ = timezone(timedelta(hours=-5))  # campus local time, no DST
@@ -26,9 +27,10 @@ GIGABYTE = 10**9
 
 MAX_SESSION_MINUTES = 1440.0
 
-MAC_RE = re.compile(r"^([0-9a-fA-F]{2}:){5}[0-9a-fA-F]{2}$")
-DEVICE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
-AP_ID_RE = re.compile(r"^AP-[0-9]+$")
+# \Z, not $: $ also matches before a trailing newline.
+MAC_RE = re.compile(r"^([0-9a-fA-F]{2}:){5}[0-9a-fA-F]{2}\Z")
+DEVICE_ID_RE = re.compile(r"^[0-9a-f]{32}\Z")
+AP_ID_RE = re.compile(r"^AP-[0-9]+\Z")
 
 
 class InputError(ValueError):
@@ -106,7 +108,7 @@ class Action(Enum):
     CAPACITY_EXPANSION = "capacity_expansion"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviceId:
     """Anonymized device identity: 32 lowercase hex chars, never a raw MAC."""
 
@@ -117,7 +119,7 @@ class DeviceId:
             raise FieldOutOfRange("device", "must be 32 lowercase hex characters")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApId:
     value: str
 
@@ -126,7 +128,7 @@ class ApId:
             raise FieldOutOfRange("ap", "must match AP-<digits>")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionRecord:
     """One controller event: association, disassociation, auth failure,
     traffic sample, or AP health sample.
@@ -180,13 +182,19 @@ _KIND_FIELDS = {
 _OPTIONAL_FIELDS = ("session_minutes", "bytes_up", "bytes_down", "proto",
                     "latency_ms", "loss_pct")
 
+# One validated id object per distinct value, shared by every record that
+# names it.  Ids are not secret, so the cache may outlive an ingest; a bad
+# value raises and is not cached.
+_device_id = lru_cache(maxsize=1 << 16)(DeviceId)
+_ap_id = lru_cache(maxsize=1 << 16)(ApId)
+
 
 # The instants the pipeline can do date arithmetic on: the local form of
 # the first one (LOCAL_TZ is behind UTC) and a session plus one day after
 # the last one must be representable.
-_TS_MIN = datetime.min.replace(tzinfo=timezone.utc) - LOCAL_TZ.utcoffset(None)
-_TS_MAX = (datetime.max.replace(microsecond=0, tzinfo=timezone.utc)
-           - timedelta(days=1, minutes=MAX_SESSION_MINUTES))
+TS_MIN = datetime.min.replace(tzinfo=timezone.utc) - LOCAL_TZ.utcoffset(None)
+TS_MAX = (datetime.max.replace(microsecond=0, tzinfo=timezone.utc)
+          - timedelta(days=1, minutes=MAX_SESSION_MINUTES))
 
 
 def _parse_ts(raw) -> datetime:
@@ -203,11 +211,11 @@ def _parse_ts(raw) -> datetime:
         ts = ts.replace(tzinfo=timezone.utc)
     try:
         ts = ts.astimezone(timezone.utc).replace(microsecond=0)
-        if _TS_MIN <= ts <= _TS_MAX:
+        if TS_MIN <= ts <= TS_MAX:
             return ts
     except OverflowError:
         pass
-    raise FieldOutOfRange("ts", f"out of range [{_TS_MIN.isoformat()}, {_TS_MAX.isoformat()}]: {raw!r}")
+    raise FieldOutOfRange("ts", f"out of range [{TS_MIN.isoformat()}, {TS_MAX.isoformat()}]: {raw!r}")
 
 
 def _number(raw: dict, name: str, high: float) -> float:
@@ -239,8 +247,8 @@ def validate(raw: dict) -> SessionRecord:
     except ValueError:
         raise UnknownEventKind("kind", f"unknown event kind {kind_raw!r}")
 
-    device = raw["device"] if isinstance(raw["device"], DeviceId) else DeviceId(str(raw["device"]))
-    ap = raw["ap"] if isinstance(raw["ap"], ApId) else ApId(str(raw["ap"]))
+    device = raw["device"] if isinstance(raw["device"], DeviceId) else _device_id(str(raw["device"]))
+    ap = raw["ap"] if isinstance(raw["ap"], ApId) else _ap_id(str(raw["ap"]))
 
     required = _KIND_FIELDS[kind]
     for f in required:

@@ -156,10 +156,30 @@ def _parse_jsonl(stream, strict, stats):
         yield line_no, raw
 
 
+def _csv_rows(reader):
+    """Each row of ``reader``, or in its place the csv.Error that reading it
+    raised (a cell past the field size limit); the reader goes on with the
+    next line after one."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            yield e
+
+
 def _parse_csv(stream, strict, stats):
     reader = csv.DictReader(stream)
-    for line_no, row in enumerate(reader, start=2):  # line 1 is the header
+    try:
+        reader.fieldnames
+    except csv.Error as e:  # without its header no row can be read
+        raise MalformedLine(1, f"bad CSV header: {e}") from None
+    for line_no, row in enumerate(_csv_rows(reader), start=2):  # line 1 is the header
         stats.lines_read += 1
+        if isinstance(row, csv.Error):
+            _reject(stats, strict, line_no, "bad_cell", f"bad cell: {row}")
+            continue
         raw: dict = {}
         try:
             for col in _CSV_COLUMNS:
@@ -184,8 +204,11 @@ def ingest_records(raw_records: Iterable[tuple[int, dict]], salt: Optional[Salt]
     """Anonymize + validate a stream of (line_no, raw dict) pairs.
 
     A bad line goes through `_reject`; a missing salt stops the whole ingest.
+    Each distinct MAC is anonymized once: the memo maps raw MACs under this
+    call's salt, so it lives only as long as the call.
     """
     stats = IngestStats() if stats is None else stats
+    anonymized: dict[str, DeviceId] = {}
     for line_no, raw in raw_records:
         device = raw.get("device")
         raw_mac = isinstance(device, str) and not DEVICE_ID_RE.match(device)
@@ -197,7 +220,10 @@ def ingest_records(raw_records: Iterable[tuple[int, dict]], salt: Optional[Salt]
             if raw_mac:
                 if salt is None:
                     raise IngestError("a salt is required to anonymize raw MACs")
-                raw = dict(raw, device=anonymize_device(device, salt))
+                device_id = anonymized.get(device)
+                if device_id is None:
+                    device_id = anonymized[device] = anonymize_device(device, salt)
+                raw = dict(raw, device=device_id)
             record = validate(raw)
         except (InvalidMacFormat, ValidationError) as e:
             reason = "invalid_mac" if isinstance(e, InvalidMacFormat) else type(e).__name__

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import LOCAL_TZ, AnomalyType, InputError
+from .domain import LOCAL_TZ, TS_MAX, AnomalyType, InputError
 
 UTC = timezone.utc
 
@@ -111,6 +111,15 @@ class SimConfig:
                      "bytes_per_session_sigma", "device_event_rate"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be finite and >= 0")
+        # Every record of the window must be a timestamp the pipeline accepts.
+        try:
+            end = datetime.combine(self.start_day + timedelta(days=self.days),
+                                   time(0, 0), LOCAL_TZ)
+        except OverflowError:
+            end = None
+        if end is None or end > TS_MAX:
+            raise InvalidConfig(f"a {self.days}-day window from {self.start_day} "
+                                f"runs past {TS_MAX.isoformat()}")
 
     def with_overrides(self, overrides: dict) -> "SimConfig":
         kwargs = {}

@@ -49,14 +49,14 @@ class TestIdentifiers:
         assert DeviceId("0123456789abcdef0123456789abcdef").value
 
     @pytest.mark.parametrize("bad", ["", "xyz", "A" * 32, "a" * 31, "a" * 33,
-                                     "aa:bb:cc:dd:ee:ff"])
+                                     "aa:bb:cc:dd:ee:ff", "a" * 32 + "\n"])
     def test_device_id_rejects_non_hex(self, bad):
         with pytest.raises(FieldOutOfRange):
             DeviceId(bad)
 
     def test_ap_id_format(self):
         assert ApId("AP-0").value == "AP-0"
-        for bad in ("AP", "ap-1", "AP-", "AP-1x", "101"):
+        for bad in ("AP", "ap-1", "AP-", "AP-1x", "101", "AP-1\n"):
             with pytest.raises(FieldOutOfRange):
                 ApId(bad)
 
@@ -163,6 +163,20 @@ class TestValidate:
         with pytest.raises(ValidationError) as exc:
             validate(raw_record(kind="disassoc", session_minutes=-3))
         assert exc.value.field_name == "session_minutes"
+
+    @pytest.mark.parametrize("field, value", [("device", DEV + "\n"),
+                                              ("ap", "AP-1\n")])
+    def test_trailing_newline_in_id_rejected(self, field, value):
+        with pytest.raises(FieldOutOfRange) as exc:
+            validate(raw_record(**{field: value}))
+        assert exc.value.field_name == field
+
+    def test_records_share_one_object_per_id(self):
+        a = validate(raw_record())
+        b = validate(raw_record(ts="2025-03-03T16:00:00Z"))
+        assert a.device is b.device and a.ap is b.ap
+        other = validate(raw_record(device="b" * 32, ap="AP-102"))
+        assert other.device is not a.device and other.ap is not a.ap
 
 
 class TestSessionRecord:

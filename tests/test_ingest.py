@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wlantel import ingest
 from wlantel.domain import DEVICE_ID_RE, MAC_RE
 from wlantel.ingest import (
     SALT_ENV_VAR,
@@ -79,7 +80,7 @@ class TestAnonymizeDevice:
         assert anonymize_device(MAC, salt) != anonymize_device(MAC, other)
 
     @pytest.mark.parametrize("bad", ["", "aabbccddeeff", "aa:bb:cc:dd:ee",
-                                     "gg:bb:cc:dd:ee:ff", "a" * 32])
+                                     "gg:bb:cc:dd:ee:ff", "a" * 32, MAC + "\n"])
     def test_rejects_non_mac(self, bad, salt):
         with pytest.raises(InvalidMacFormat):
             anonymize_device(bad, salt)
@@ -146,6 +147,20 @@ class TestParseCsv:
         with pytest.raises(MalformedLine):
             list(parse_session_log(io.StringIO(bad), format="csv", strict=True))
 
+    def test_cell_over_field_limit_is_one_bad_cell(self):
+        header, good = self.CSV.splitlines(keepends=True)[:2]
+        huge = f"2025-03-03T15:00:00Z,{MAC},AP-101,{'x' * 200_000},,,,,,\n"
+        stats = IngestStats()
+        rows = list(parse_session_log(io.StringIO(header + huge + good),
+                                      format="csv", stats=stats))
+        assert [n for n, _ in rows] == [3]
+        assert stats.lines_read == 2
+        assert stats.errors == {"bad_cell": 1}
+        with pytest.raises(MalformedLine) as exc:
+            list(parse_session_log(io.StringIO(header + huge + good),
+                                   format="csv", strict=True))
+        assert exc.value.line_no == 2
+
 
 class TestIngestStream:
     def test_anonymizes_raw_macs(self, salt):
@@ -172,6 +187,49 @@ class TestIngestStream:
         _, stats = ingest_stream(jsonl(assoc(mac="zz:zz")), salt)
         assert stats.accepted == 0
         assert stats.errors["invalid_mac"] == 1
+
+    def test_mac_with_trailing_newline_is_invalid(self, salt):
+        _, stats = ingest_stream(jsonl(assoc(mac="02:00:00:00:00:01\n")), salt)
+        assert stats.accepted == 0
+        assert stats.errors == {"invalid_mac": 1}
+
+    def test_anonymizes_each_distinct_mac_once(self, salt, monkeypatch):
+        calls = []
+
+        def counting(mac, salt):
+            calls.append(mac)
+            return anonymize_device(mac, salt)
+
+        monkeypatch.setattr(ingest, "anonymize_device", counting)
+        other = "11:22:33:44:55:66"
+        records, _ = ingest_stream(
+            jsonl(assoc(), assoc(mac=other), assoc(), assoc(mac=other), assoc()), salt)
+        assert sorted(calls) == sorted([MAC, other])
+        assert [r.device for r in records] == [anonymize_device(m, salt)
+                                               for m in (MAC, other, MAC, other, MAC)]
+
+    def test_records_share_one_id_object_per_device_and_ap(self, salt):
+        records, _ = ingest_stream(jsonl(
+            assoc(), assoc(ap="AP-102"), assoc(mac="11:22:33:44:55:66"), assoc()), salt)
+        first, other_ap, other_mac, last = records
+        assert first.device is other_ap.device is last.device
+        assert first.ap is other_mac.ap is last.ap
+        assert other_mac.device is not first.device
+        assert other_ap.ap is not first.ap
+
+    def test_pre_anonymized_records_share_id_objects(self):
+        dev = "ab" * 16
+        records, _ = ingest_stream(jsonl(assoc(mac=dev), assoc(mac=dev)), salt=None,
+                                   pre_anonymized=True)
+        assert records[0].device is records[1].device
+        assert records[0].ap is records[1].ap
+
+    def test_memo_is_bound_to_one_ingest_and_its_salt(self, salt):
+        other = Salt.from_hex("ff" * 16)
+        first, _ = ingest_stream(jsonl(assoc()), salt)
+        second, _ = ingest_stream(jsonl(assoc()), other)
+        assert first[0].device != second[0].device
+        assert second[0].device == anonymize_device(MAC, other)
 
     def test_validation_failure_counted_by_class(self, salt):
         bad = dict(assoc(), kind="disassoc")  # missing session_minutes

@@ -271,11 +271,16 @@ EXIT_CASES = {
     "max-concurrent-0": (lambda t: _run(t, None, "--max-concurrent", "0"), 1, None),
     "set-days-abc": (
         lambda t: ["simulate", "--out", str(t.tmp / "sim.jsonl"), "--set", "days=abc"], 1, None),
+    "set-start-day-past-calendar": (
+        lambda t: ["simulate", "--out", str(t.tmp / "sim.jsonl"),
+                   "--set", "start_day=9999-12-25"], 1, None),
     "non-utf8-line": (
         lambda t: _ingest(t, _file(t, "latin1.jsonl",
                                    t.trace.read_bytes() + b'{"ap": "AP-\xe9"}\n')),
         1, None),
     "missing-in": (lambda t: _ingest(t, str(t.tmp / "missing.jsonl")), 1, None),
+    "in-directory": (lambda t: _ingest(t, str(t.tmp)), 1, None),
+    "run-not-a-directory": (lambda t: ["recommend", "--run", str(t.trace)], 1, None),
     "missing-run": (lambda t: ["recommend", "--run", str(t.tmp / "missing")], 1, None),
     "fewer-than-7-days": (lambda t: _run(t, _first_six_days(t)), 1, None),
     "bind-failure": (lambda t: ["serve", "--run", t.run, "--addr", _taken_port(t)], 2, None),

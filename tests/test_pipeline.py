@@ -17,7 +17,9 @@ from wlantel.domain import (
     AnomalyEvent,
     AnomalyType,
     Detector,
+    EventKind,
     Severity,
+    validate,
 )
 from wlantel.ingest import Salt, anonymize_device, ingest_records
 from wlantel.pipeline import (
@@ -79,6 +81,38 @@ class TestRunPipeline:
 
     def test_input_digest_changes_with_input(self, month_records):
         assert input_digest(month_records) != input_digest(month_records[:-1])
+
+
+def _json_digest(records) -> str:
+    """The digest's definition, DIGEST_ALGORITHM: sha256 over the records'
+    sorted-key JSON, one per line."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(json.dumps(r.to_json_dict(), sort_keys=True).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_input_digest_writes_the_canonical_json_of_every_kind():
+    dev, ap = "0f" * 16, "AP-7"
+    base = {"device": dev, "ap": ap}
+    raws = [
+        dict(base, ts="2025-03-03T15:00:00Z", kind="assoc"),
+        dict(base, ts="2025-03-03T15:00:01+02:00", kind="auth_fail"),
+        *(dict(base, ts="2025-03-03T16:00:00Z", kind="disassoc", session_minutes=m)
+          for m in (1e-05, 0.1, 1440.0, 0, 47.33)),
+        *(dict(base, ts="2025-03-03T16:00:00Z", kind="traffic", bytes_up=up,
+               bytes_down=down, proto=p)
+          for up, down, p in ((0, 10**30, "dns"), (147_000_000, 2**63, "https"))),
+        *(dict(base, ts="2025-03-03T17:00:00Z", kind="ap_health", latency_ms=lat,
+               loss_pct=loss)
+          for lat, loss in ((1e-05, 100.0), (0.1, 0.0), (1e300, 33.333333333333336))),
+    ]
+    records = [validate(r) for r in raws]
+    assert {r.kind for r in records} == set(EventKind)
+    for r in records:
+        assert input_digest([r]) == _json_digest([r]), r
+    assert input_digest(records) == _json_digest(records)
 
 
 class TestSaveLoad:

@@ -63,6 +63,15 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             SimConfig().with_overrides({key: value})
 
+    @pytest.mark.parametrize("start_day, days", [
+        (date(9999, 12, 25), 30), (date(9999, 12, 23), 7), (date(2025, 3, 3), 10**9)])
+    def test_rejects_window_past_the_calendar(self, start_day, days):
+        with pytest.raises(InvalidConfig):
+            SimConfig(start_day=start_day, days=days)
+
+    def test_window_ending_at_the_last_accepted_timestamp_allowed(self):
+        assert SimConfig(start_day=date(9999, 12, 22), days=7).days == 7
+
 
 class TestGenerateMonth:
     def test_deterministic_for_same_seed(self, small_month):
