@@ -64,14 +64,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--overload-threshold", type=int, default=DEFAULT_OVERLOAD_THRESHOLD)
 
-    p = sub.add_parser("detect", help="run all detectors, print anomalies")
-    _add_ingest_args(p)
-    _add_pipeline_args(p)
-    p.add_argument("--out", help="write anomalies JSON here instead of stdout")
-
-    p = sub.add_parser("recommend", help="print recommendations for a run")
-    p.add_argument("--run", required=True, help="run directory")
-
     p = sub.add_parser("run", help="full pipeline into a run directory")
     _add_ingest_args(p)
     _add_pipeline_args(p)
@@ -188,25 +180,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_detect(args) -> int:
-    records, _ = _ingest(args)
-    run = run_pipeline(records, _pipeline_config(args))
-    payload = [e.to_json_dict() for e in run.anomalies]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_recommend(args) -> int:
-    stored = load_run(args.run)
-    print(json.dumps(stored.recommendations, indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_run(args) -> int:
     records, stats = _ingest(args)
     run = run_pipeline(records, _pipeline_config(args))
@@ -263,8 +236,6 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "ingest": _cmd_ingest,
     "analyze": _cmd_analyze,
-    "detect": _cmd_detect,
-    "recommend": _cmd_recommend,
     "run": _cmd_run,
     "evaluate": _cmd_evaluate,
     "report": _cmd_report,

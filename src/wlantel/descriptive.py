@@ -1,6 +1,5 @@
 """Phase 1: daily aggregates, per-AP load statistics, the hourly
-concurrency profile, the day-of-week baseline, and the user/traffic
-correlation check.
+concurrency profile, and the day-of-week baseline.
 
 `describe` is the stage's one entry point; `wlantel run`, `wlantel
 analyze` and the acceptance tests all go through it.  It groups the
@@ -18,7 +17,6 @@ evaluation order (or parallel sharding) cannot change results.
 from __future__ import annotations
 
 import heapq
-import math
 import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -46,10 +44,6 @@ DEFAULT_SHORT_SESSION_MINUTES = 1.0  # below this a disassoc is "unexpected"
 
 
 class InsufficientData(InputError):
-    pass
-
-
-class ZeroVariance(ValueError):
     pass
 
 
@@ -390,20 +384,3 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     mean = statistics.fmean(values)
     std = statistics.stdev(values) if len(values) > 1 else 0.0
     return mean, std
-
-
-def correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Pearson correlation coefficient of two equal-length series."""
-    if len(xs) != len(ys):
-        raise ValueError("series lengths differ")
-    if len(xs) < 3:
-        raise ValueError("need at least 3 points")
-    mx, my = statistics.fmean(xs), statistics.fmean(ys)
-    dx = [x - mx for x in xs]
-    dy = [y - my for y in ys]
-    sx = math.sqrt(sum(d * d for d in dx))
-    sy = math.sqrt(sum(d * d for d in dy))
-    if sx == 0.0 or sy == 0.0:
-        raise ZeroVariance("a constant series has no defined correlation")
-    r = sum(a * b for a, b in zip(dx, dy)) / (sx * sy)
-    return max(-1.0, min(1.0, r))

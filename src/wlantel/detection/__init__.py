@@ -1,33 +1,1 @@
 """Phase 2: the three detector families plus the severity classifier."""
-
-from .features import FEATURE_METRICS, STD_FLOOR, FeatureVector, build_features
-from .iforest import (
-    ForestModel,
-    TooFewPoints,
-    average_path_length,
-    fit_isolation_forest,
-    iforest_score,
-)
-from .dbscan import NOISE, dbscan
-from .thresholds import SeriesTooShort, dynamic_threshold_alerts
-from .rules import detect_duplicate_devices, protocol_anomaly
-from .classify import classify
-
-__all__ = [
-    "FEATURE_METRICS",
-    "STD_FLOOR",
-    "FeatureVector",
-    "build_features",
-    "ForestModel",
-    "TooFewPoints",
-    "average_path_length",
-    "fit_isolation_forest",
-    "iforest_score",
-    "NOISE",
-    "dbscan",
-    "SeriesTooShort",
-    "dynamic_threshold_alerts",
-    "detect_duplicate_devices",
-    "protocol_anomaly",
-    "classify",
-]

@@ -15,17 +15,14 @@ DEFAULT_WINDOW = 7
 DEFAULT_K = 3.0
 
 
-class SeriesTooShort(ValueError):
-    pass
-
-
 def dynamic_threshold_alerts(series: Sequence[tuple[date, float]],
                              event_type: AnomalyType,
                              window: int = DEFAULT_WINDOW,
                              k: float = DEFAULT_K,
                              metric: str = "") -> list[AnomalyEvent]:
     """Alert at index t >= window when |x_t - mu| > k * sigma, with mu and
-    sigma the mean and sample std of the window preceding points.
+    sigma the mean and sample std of the window preceding points; a
+    series no longer than the window yields no alerts.
 
     When the window is constant (sigma = 0), any departure from mu alerts.
     Event score is |x_t - mu| / max(sigma, floor).
@@ -34,8 +31,6 @@ def dynamic_threshold_alerts(series: Sequence[tuple[date, float]],
         raise InputError("window must be >= 5")
     if not k > 0:
         raise InputError("k must be > 0")
-    if len(series) <= window:
-        raise SeriesTooShort(f"need more than {window} points, got {len(series)}")
 
     events = []
     values = [v for _, v in series]

@@ -147,9 +147,6 @@ class SessionRecord:
     latency_ms: Optional[float] = None       # AP_HEALTH only
     loss_pct: Optional[float] = None         # AP_HEALTH only
 
-    def local_ts(self) -> datetime:
-        return self.ts.astimezone(LOCAL_TZ)
-
     def local_day(self) -> date:
         return self.ts.astimezone(LOCAL_TZ).date()
 

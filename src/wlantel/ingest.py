@@ -158,15 +158,18 @@ def _parse_jsonl(stream, strict, stats):
 
 def _csv_rows(reader):
     """Each row of ``reader``, or in its place the csv.Error that reading it
-    raised (a cell past the field size limit); the reader goes on with the
-    next line after one."""
+    raised (a cell past the field size limit), with the physical line the
+    row starts on: a quoted cell may span lines.  The reader goes on with
+    the next line after an error.  The count is the csv reader's own, as
+    the DictReader's is not updated by a row that fails."""
     while True:
+        line_no = reader.reader.line_num + 1
         try:
-            yield next(reader)
+            yield line_no, next(reader)
         except StopIteration:
             return
         except csv.Error as e:
-            yield e
+            yield line_no, e
 
 
 def _parse_csv(stream, strict, stats):
@@ -175,7 +178,7 @@ def _parse_csv(stream, strict, stats):
         reader.fieldnames
     except csv.Error as e:  # without its header no row can be read
         raise MalformedLine(1, f"bad CSV header: {e}") from None
-    for line_no, row in enumerate(_csv_rows(reader), start=2):  # line 1 is the header
+    for line_no, row in _csv_rows(reader):
         stats.lines_read += 1
         if isinstance(row, csv.Error):
             _reject(stats, strict, line_no, "bad_cell", f"bad cell: {row}")

@@ -20,19 +20,12 @@ from typing import Optional, Sequence
 
 from . import descriptive
 from .descriptive import DEFAULT_OVERLOAD_THRESHOLD, ApStats, InsufficientData
-from .detection import (
-    build_features,
-    classify,
-    dbscan,
-    detect_duplicate_devices,
-    dynamic_threshold_alerts,
-    fit_isolation_forest,
-    iforest_score,
-    protocol_anomaly,
-)
-from .detection.dbscan import NOISE
-from .detection.rules import DEFAULT_MAX_CONCURRENT
-from .detection.thresholds import DEFAULT_K, DEFAULT_WINDOW
+from .detection.classify import classify
+from .detection.dbscan import NOISE, dbscan
+from .detection.features import build_features
+from .detection.iforest import fit_isolation_forest, iforest_score
+from .detection.rules import DEFAULT_MAX_CONCURRENT, detect_duplicate_devices, protocol_anomaly
+from .detection.thresholds import DEFAULT_K, DEFAULT_WINDOW, dynamic_threshold_alerts
 from .domain import (
     AnomalyEvent,
     AnomalyType,
@@ -142,9 +135,8 @@ def run_pipeline(records: Sequence[SessionRecord],
         events: list[AnomalyEvent] = []
         for metric, etype in THRESHOLD_SERIES:
             series = [(a.day, a.metric(metric)) for a in aggregates]
-            if len(series) > config.window:
-                events.extend(dynamic_threshold_alerts(
-                    series, etype, window=config.window, k=config.k, metric=metric))
+            events.extend(dynamic_threshold_alerts(
+                series, etype, window=config.window, k=config.k, metric=metric))
         # Protocol-share z-tests compare each day against a profile built
         # without that day: a day skewed enough to alert would otherwise
         # inflate its own slot's variance and mask itself.
@@ -156,24 +148,23 @@ def run_pipeline(records: Sequence[SessionRecord],
 
         features = build_features(aggregates, baseline)
         points = [f.values for f in features]
-        if len(points) >= 2:
-            model = fit_isolation_forest(points, seed=config.seed)
-            for f in features:
-                score = iforest_score(model, f.values)
+        model = fit_isolation_forest(points, seed=config.seed)
+        for f in features:
+            score = iforest_score(model, f.values)
+            events.append(AnomalyEvent(
+                day=f.day, type=AnomalyType.MULTIVARIATE_OUTLIER,
+                detector=Detector.ISOLATION_FOREST, score=score,
+                evidence={"features": list(f.values),
+                          "text": f"isolation forest score {score:.3f}"},
+            ))
+        for f, label in zip(features, dbscan(points)):
+            if label == NOISE:
                 events.append(AnomalyEvent(
                     day=f.day, type=AnomalyType.MULTIVARIATE_OUTLIER,
-                    detector=Detector.ISOLATION_FOREST, score=score,
+                    detector=Detector.DBSCAN, score=1.0,
                     evidence={"features": list(f.values),
-                              "text": f"isolation forest score {score:.3f}"},
+                              "text": "day is density noise in feature space"},
                 ))
-            for f, label in zip(features, dbscan(points)):
-                if label == NOISE:
-                    events.append(AnomalyEvent(
-                        day=f.day, type=AnomalyType.MULTIVARIATE_OUTLIER,
-                        detector=Detector.DBSCAN, score=1.0,
-                        evidence={"features": list(f.values),
-                                  "text": "day is density noise in feature space"},
-                    ))
         return classify(events, k=config.k)
 
     anomalies = staged("detection", _detection)
@@ -323,22 +314,20 @@ def evaluate(anomalies: Sequence[AnomalyEvent], ground_truth: GroundTruth,
     device/AP.  Ground-truth devices are raw MACs, so the ingest salt maps
     them onto event device ids.
     """
-    def truth_devices(inj):
-        if salt is None:
-            return set(inj.devices)
-        return {anonymize_device(m, salt).value for m in inj.devices}
-
-    by_type_truth: dict = defaultdict(list)
+    by_type_truth: dict = defaultdict(list)  # type -> [(injection, its device ids)]
     for inj in ground_truth.injections:
-        by_type_truth[inj.type].append(inj)
+        devices = (set(inj.devices) if salt is None
+                   else {anonymize_device(m, salt).value for m in inj.devices})
+        by_type_truth[inj.type].append((inj, devices))
     by_type_events: dict = defaultdict(list)
     for e in anomalies:
         by_type_events[e.type].append(e)
 
-    def matches(event, inj):
+    def matches(event, truth):
+        inj, devices = truth
         if event.day != inj.day:
             return False
-        if event.device is not None and event.device not in truth_devices(inj):
+        if event.device is not None and event.device not in devices:
             return False
         if event.ap is not None and inj.aps and event.ap not in inj.aps:
             return False
@@ -351,10 +340,10 @@ def evaluate(anomalies: Sequence[AnomalyEvent], ground_truth: GroundTruth,
     for etype in all_types:
         injections = by_type_truth.get(etype, [])
         events = by_type_events.get(etype, [])
-        detected = sum(1 for inj in injections
-                       if any(matches(e, inj) for e in events))
+        detected = sum(1 for truth in injections
+                       if any(matches(e, truth) for e in events))
         tp_events = sum(1 for e in events
-                        if any(matches(e, inj) for inj in injections))
+                        if any(matches(e, truth) for truth in injections))
         report[etype] = TypeQuality(
             injected=len(injections),
             detected=detected,

@@ -58,8 +58,6 @@ def recommend(anomalies: Sequence[AnomalyEvent],
               ap_stats: Sequence[ApStats] = (),
               aggregates: Sequence[DailyAggregate] = (),
               baseline: Optional[BaselineProfile] = None,
-              latency_bound_ms: float = DEFAULT_LATENCY_BOUND_MS,
-              loss_bound_pct: float = DEFAULT_LOSS_BOUND_PCT,
               flag_rule: str = "all",
               k: float = DEFAULT_K) -> list[Recommendation]:
     """Rule table from anomalies and AP condition to actions, deduplicated
@@ -74,7 +72,7 @@ def recommend(anomalies: Sequence[AnomalyEvent],
             proposals[key] = (rationale, [])
         proposals[key][1].extend(events)
 
-    for ap in flag_aps(ap_stats, latency_bound_ms, loss_bound_pct, rule=flag_rule):
+    for ap in flag_aps(ap_stats, rule=flag_rule):
         detail = next(s for s in ap_stats if s.ap == ap)
         rationale = (f"{ap.value}: mean latency {detail.mean_latency_ms:.0f} ms, "
                      f"mean loss {detail.mean_loss_pct:.1f} % exceed service bounds")

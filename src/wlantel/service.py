@@ -9,12 +9,12 @@ readers are served from threads.
 from __future__ import annotations
 
 import json
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 from .domain import InputError
-from .pipeline import StoredRun, load_run
+# bench/tracer.py patches load_run here as well, so the name must stay.
+from .pipeline import StoredRun, load_run  # noqa: F401
 
 
 def metrics_exposition(run: StoredRun) -> str:
@@ -81,11 +81,3 @@ def make_server(snapshot: StoredRun, addr: str = "127.0.0.1:8080") -> ThreadingH
     }
     handler = type("RunHandler", (_Handler,), {"routes": routes})
     return ThreadingHTTPServer((host or "127.0.0.1", port), handler)
-
-
-def start_background(rundir: str, addr: str = "127.0.0.1:0") -> tuple[ThreadingHTTPServer, threading.Thread]:
-    """Start the service on a daemon thread; used by tests and embedding."""
-    server = make_server(load_run(rundir), addr)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, thread

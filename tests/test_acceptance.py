@@ -89,7 +89,7 @@ def seed_summaries(salt):
             mean_overload_pct=statistics.fmean(
                 a.overload_pct for a in aggregates),
             peak_hour=hourly.argmax(),
-            user_traffic_correlation=descriptive.correlation(conns, gbs),
+            user_traffic_correlation=statistics.correlation(conns, gbs),
             seconds=seconds,
             mac_leaks=len(RAW_MAC.findall(downstream)),
         ))

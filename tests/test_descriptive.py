@@ -1,9 +1,8 @@
 """Daily aggregation, session pairing, AP statistics, hourly profile,
-baselines, correlation, and the descriptive stage that shares them."""
+baselines, and the descriptive stage that shares them."""
 
 from __future__ import annotations
 
-import math
 import random
 import statistics
 from datetime import date, datetime, timedelta, timezone
@@ -17,12 +16,10 @@ from wlantel.descriptive import (
     DeviceDay,
     HourlyProfile,
     InsufficientData,
-    ZeroVariance,
     aggregate_daily,
     ap_day_peaks,
     ap_load_stats,
     build_baseline,
-    correlation,
     describe,
     device_overlaps,
     group_by_day,
@@ -378,26 +375,6 @@ class TestSlotStats:
                     (MIN_BASELINE_DAYS - 1, True)} <= seen
 
 
-class TestCorrelation:
-    def test_perfect_linear(self):
-        xs = [1.0, 2.0, 3.0, 4.0]
-        assert correlation(xs, [2 * x + 1 for x in xs]) == pytest.approx(1.0)
-        assert correlation(xs, [-x for x in xs]) == pytest.approx(-1.0)
-
-    def test_result_clamped_to_unit_interval(self):
-        xs = [1.0, 2.0, 3.0]
-        r = correlation(xs, xs)
-        assert -1.0 <= r <= 1.0
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            correlation([1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            correlation([1.0, 2.0], [1.0, 2.0])
-        with pytest.raises(ZeroVariance):
-            correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-
 @settings(max_examples=40, deadline=None)
 @given(values=st.lists(st.integers(0, 500), min_size=7, max_size=21),
        seed=st.randoms())
@@ -408,13 +385,3 @@ def test_baseline_is_order_independent(values, seed):
     seed.shuffle(shuffled)
     assert build_baseline(aggs) == build_baseline(shuffled)
 
-
-@settings(max_examples=40, deadline=None)
-@given(xs=st.lists(st.floats(-100, 100), min_size=3, max_size=30),
-       a=st.floats(0.1, 10), b=st.floats(-50, 50))
-def test_correlation_invariant_under_positive_affine_maps(xs, a, b):
-    ys = [2.0 * x + 0.5 for x in xs]
-    if max(xs) - min(xs) < 1e-6:  # near-constant series are numerically moot
-        return
-    mapped = [a * y + b for y in ys]
-    assert correlation(xs, mapped) == pytest.approx(correlation(xs, ys), abs=1e-9)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from wlantel.domain import (
     GIGABYTE,
-    LOCAL_TZ,
     MAX_SESSION_MINUTES,
     AnomalyEvent,
     AnomalyType,
@@ -184,7 +183,6 @@ class TestSessionRecord:
         r = validate(raw_record(ts="2025-03-04T02:30:00Z"))
         assert r.ts.tzinfo == timezone.utc
         assert r.local_day() == date(2025, 3, 3)
-        assert r.local_ts().tzinfo == LOCAL_TZ
 
     def test_json_round_trip(self):
         r = validate(raw_record(kind="traffic", bytes_up=5, bytes_down=7,

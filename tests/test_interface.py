@@ -3,6 +3,7 @@ service."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import json
@@ -21,10 +22,10 @@ import pytest
 
 import wlantel
 from wlantel import descriptive
-from wlantel.cli import main
-from wlantel.pipeline import save_run
+from wlantel.cli import _build_parser, main
+from wlantel.pipeline import load_run, save_run
 from wlantel.report import AP_CSV_HEADER, METRICS_CSV_HEADER, render_report
-from wlantel.service import start_background
+from wlantel.service import make_server
 
 TEST_SALT_HEX = "00112233445566778899aabbccddeeff"
 
@@ -68,6 +69,16 @@ class TestCliBasics:
 
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["simulate"]) == 1
+
+    def test_subcommands_pinned_and_documented(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == {"simulate", "ingest", "analyze", "run",
+                                    "evaluate", "report", "serve"}
+        readme = (Path(wlantel.__file__).resolve().parents[2] / "README.md").read_text(
+            encoding="utf-8")
+        for name in sub.choices:
+            assert re.search(rf"\bwlantel {name}\b|`{name}`", readme), name
 
     def test_missing_input_file_exits_1(self, salt_file, capsys):
         assert main(["ingest", "--in", "/nonexistent.jsonl",
@@ -126,25 +137,12 @@ class TestCliPipeline:
             assert (tmp_path / "analyze" / name).read_bytes() == \
                 (tmp_path / "run" / name).read_bytes(), name
 
-    def test_detect_prints_anomalies(self, small_trace, salt_file, capsys):
-        trace, _ = small_trace
-        assert main(["detect", "--in", str(trace),
-                     "--salt-file", salt_file]) == 0
-        events = json.loads(capsys.readouterr().out)
-        assert isinstance(events, list)
-        assert all({"day", "type", "detector", "score"} <= set(e) for e in events)
-
-    def test_run_then_recommend_and_evaluate(self, small_trace, salt_file,
-                                             tmp_path, capsys):
+    def test_run_then_evaluate(self, small_trace, salt_file, tmp_path, capsys):
         trace, labels = small_trace
         rundir = tmp_path / "run"
         assert main(["--quiet", "run", "--in", str(trace),
                      "--salt-file", salt_file, "--out", str(rundir)]) == 0
         assert (rundir / "manifest.json").is_file()
-
-        assert main(["recommend", "--run", str(rundir)]) == 0
-        recs = json.loads(capsys.readouterr().out)
-        assert isinstance(recs, list)
 
         assert main(["evaluate", "--run", str(rundir), "--labels", str(labels),
                      "--salt-file", salt_file]) == 0
@@ -280,8 +278,11 @@ EXIT_CASES = {
         1, None),
     "missing-in": (lambda t: _ingest(t, str(t.tmp / "missing.jsonl")), 1, None),
     "in-directory": (lambda t: _ingest(t, str(t.tmp)), 1, None),
-    "run-not-a-directory": (lambda t: ["recommend", "--run", str(t.trace)], 1, None),
-    "missing-run": (lambda t: ["recommend", "--run", str(t.tmp / "missing")], 1, None),
+    "run-not-a-directory": (
+        lambda t: ["report", "--run", str(t.trace), "--out", str(t.tmp / "rep")], 1, None),
+    "missing-run": (
+        lambda t: ["report", "--run", str(t.tmp / "missing"), "--out", str(t.tmp / "rep")],
+        1, None),
     "fewer-than-7-days": (lambda t: _run(t, _first_six_days(t)), 1, None),
     "bind-failure": (lambda t: ["serve", "--run", t.run, "--addr", _taken_port(t)], 2, None),
 }
@@ -309,7 +310,6 @@ def test_exit_codes(case, small_trace, salt_file, saved_run, tmp_path,
 
 class TestReport:
     def test_renders_all_documents(self, saved_run, tmp_path):
-        from wlantel.pipeline import load_run
         written = render_report(load_run(str(saved_run)), str(tmp_path / "rep"))
         names = {Path(p).name for p in written}
         assert names == {"report.json", "metrics_table.csv", "ap_table.csv",
@@ -347,7 +347,8 @@ class TestReport:
 
 @pytest.fixture(scope="module")
 def server(saved_run):
-    httpd, _thread = start_background(str(saved_run), "127.0.0.1:0")
+    httpd = make_server(load_run(str(saved_run)), "127.0.0.1:0")
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
     host, port = httpd.server_address[:2]
     yield f"http://{host}:{port}"
     httpd.shutdown()

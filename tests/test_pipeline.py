@@ -31,6 +31,7 @@ from wlantel.pipeline import (
     run_pipeline,
     save_run,
 )
+from wlantel.report import render_report
 from wlantel.simulator import GroundTruth, Injection, SimConfig, generate_month
 
 DAY = date(2025, 3, 10)
@@ -161,15 +162,32 @@ GOLDEN_DIGESTS = {
     "hourly_profile.json": "daea811cd7ecb136a39123d505ab3c366e767088217081425f7d77a438b72fc2",
     "recommendations.json": "121ffcd4700d3849b5a320382c382c44312a96311daad32c7881eab84c690246",
 }
+# The same for the report rendered from that run, and the manifest's digest
+# of the ingested records.
+GOLDEN_REPORT_DIGESTS = {
+    "ap_table.csv": "ab8a247505af0f98c6d47370d21d6f007913c63631f58504c8f0672245ce4f7a",
+    "metrics_table.csv": "ec613a2aeb1a50596f1551cf7f95ad43c30200e398a4a20f546c2b84237e7775",
+    "report.html": "3675a86e80e27e36e60ea092466f560a4499f66a026a6c14d52f20478974b753",
+    "report.json": "0b29665801f55dc2d7e81d2a85f89b9a56f338eb51abe64e79e59e39a4bb9fb8",
+}
+GOLDEN_INPUT_DIGEST = "22ea1d06ebb8c8a0a0e8292c5455b31e4f9ae26c8ee2afc32f5dcbaef3e1f1f9"
 
 
 def test_artifacts_match_golden_digests(salt, tmp_path):
     raw, _ = generate_month(GOLDEN_CONFIG, seed=3)
     records = list(ingest_records(enumerate(raw, start=1), salt))
-    save_run(run_pipeline(records, PipelineConfig()), str(tmp_path))
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir() if p.name != "manifest.json"}
-    assert digests == GOLDEN_DIGESTS
+    rundir, reportdir = tmp_path / "run", tmp_path / "report"
+    save_run(run_pipeline(records, PipelineConfig()), str(rundir))
+    stored = load_run(str(rundir))
+    render_report(stored, str(reportdir))
+
+    def digests(path):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in path.iterdir() if p.name != "manifest.json"}
+
+    assert digests(rundir) == GOLDEN_DIGESTS
+    assert digests(reportdir) == GOLDEN_REPORT_DIGESTS
+    assert stored.manifest["input_digest"] == GOLDEN_INPUT_DIGEST
 
 
 def test_baseline_built_once_per_run(salt, monkeypatch):
