@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import descriptive, report, service
@@ -50,8 +49,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True, help="output trace JSONL path")
     p.add_argument("--labels", help="ground-truth labels JSON path")
-    p.add_argument("--no-inject", action="store_true",
-                   help="generate a clean month without anomalies")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a SimConfig field")
 
@@ -140,8 +137,6 @@ def _cmd_simulate(args) -> int:
             raise InvalidConfig(f"--set needs KEY=VALUE, got {item!r}")
         overrides[key] = value
     config = SimConfig(days=args.days).with_overrides(overrides)
-    if args.no_inject:
-        config = replace(config, inject=False)
     records, truth = generate_month(config, seed=args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         for r in records:

@@ -1,8 +1,8 @@
 """Core vocabulary shared by every pipeline stage.
 
 All types are immutable after validation and safe to share across threads.
-No I/O and no algorithms live here, only validated data and the record
-validator itself.
+No I/O and no algorithms live here, only validated data, the one record
+schema (PAYLOAD_FIELDS) and the record validator itself.
 
 Unit conventions, fixed once:
   - gigabyte = 10^9 bytes (decimal),
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Optional
 
 LOCAL_TZ = timezone(timedelta(hours=-5))  # campus local time, no DST
@@ -133,51 +134,98 @@ class SessionRecord:
     """One controller event: association, disassociation, auth failure,
     traffic sample, or AP health sample.
 
-    Fields that do not apply to ``kind`` are None, never zero.
+    PAYLOAD_FIELDS lists the payload fields each kind carries; the others
+    are None, never zero.
     """
 
     ts: datetime
     device: DeviceId
     ap: ApId
     kind: EventKind
-    session_minutes: Optional[float] = None  # DISASSOC only
-    bytes_up: Optional[int] = None           # TRAFFIC only
-    bytes_down: Optional[int] = None         # TRAFFIC only
-    proto: Optional[Protocol] = None         # TRAFFIC only
-    latency_ms: Optional[float] = None       # AP_HEALTH only
-    loss_pct: Optional[float] = None         # AP_HEALTH only
+    session_minutes: Optional[float] = None
+    bytes_up: Optional[int] = None
+    bytes_down: Optional[int] = None
+    proto: Optional[Protocol] = None
+    latency_ms: Optional[float] = None
+    loss_pct: Optional[float] = None
 
     def local_day(self) -> date:
         return self.ts.astimezone(LOCAL_TZ).date()
 
     def to_json_dict(self) -> dict:
-        d = {
-            "ts": self.ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z"),
-            "device": self.device.value,
-            "ap": self.ap.value,
-            "kind": self.kind.value,
-        }
-        if self.kind is EventKind.DISASSOC:
-            d["session_minutes"] = self.session_minutes
-        elif self.kind is EventKind.TRAFFIC:
-            d["bytes_up"] = self.bytes_up
-            d["bytes_down"] = self.bytes_down
-            d["proto"] = self.proto.value
-        elif self.kind is EventKind.AP_HEALTH:
-            d["latency_ms"] = self.latency_ms
-            d["loss_pct"] = self.loss_pct
+        d = {"ts": format_ts(self.ts), "device": self.device.value,
+             "ap": self.ap.value, "kind": self.kind.value}
+        for name, t, _ in PAYLOAD_FIELDS[self.kind]:
+            value = getattr(self, name)
+            d[name] = value.value if t is Protocol else value
         return d
 
+    def canonical_line(self) -> str:
+        """The bytes of json.dumps(self.to_json_dict(), sort_keys=True) plus
+        a newline, written with the kind's printf format."""
+        line_format, values = _LINES[self.kind]
+        return line_format % (*values(self), format_ts(self.ts))
 
-_KIND_FIELDS = {
+
+def format_ts(ts: datetime) -> str:
+    """RFC 3339 in UTC with a "Z" suffix, the form of every timestamp written."""
+    return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+# The one record schema: each kind's payload fields in the order `validate`
+# checks them, each with its value type and, for a float, the upper bound
+# of [0, bound].  An int is a non-negative integer and a Protocol is given
+# by its value.  The kinds are in SessionRecord's field order, the order in
+# which fields a kind does not carry are checked.
+PAYLOAD_FIELDS = {
     EventKind.ASSOC: (),
-    EventKind.DISASSOC: ("session_minutes",),
-    EventKind.TRAFFIC: ("bytes_up", "bytes_down", "proto"),
-    EventKind.AP_HEALTH: ("latency_ms", "loss_pct"),
     EventKind.AUTH_FAIL: (),
+    EventKind.DISASSOC: (("session_minutes", float, MAX_SESSION_MINUTES),),
+    EventKind.TRAFFIC: (("bytes_up", int, None), ("bytes_down", int, None),
+                        ("proto", Protocol, None)),
+    EventKind.AP_HEALTH: (("latency_ms", float, math.inf), ("loss_pct", float, 100.0)),
 }
-_OPTIONAL_FIELDS = ("session_minutes", "bytes_up", "bytes_down", "proto",
-                    "latency_ms", "loss_pct")
+_PAYLOAD_NAMES = tuple(name for fields in PAYLOAD_FIELDS.values() for name, _, _ in fields)
+_INAPPLICABLE = {kind: tuple(n for n in _PAYLOAD_NAMES if n not in {f[0] for f in fields})
+                 for kind, fields in PAYLOAD_FIELDS.items()}
+
+
+def _check(name: str, t: type, value, high: Optional[float]):
+    """The one rule for a payload field of type ``t``."""
+    if t is Protocol:
+        try:
+            return Protocol(str(value))
+        except ValueError:
+            raise FieldOutOfRange(name, f"unknown protocol {value!r}")
+    if t is int:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise FieldOutOfRange(name, "must be a non-negative integer")
+        return value
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not (math.isfinite(value) and 0.0 <= value <= high):
+        raise FieldOutOfRange(name, f"must be a finite number in [0, {high:g}]")
+    return value
+
+
+def _line_format(kind: EventKind) -> tuple[str, attrgetter]:
+    """The printf format of a kind's canonical line and the getter of its
+    values but the last: "ts" sorts after every other key."""
+    paths = {"ap": "ap.value", "device": "device.value"}
+    paths.update((name, f"{name}.value" if t is Protocol else name)
+                 for name, t, _ in PAYLOAD_FIELDS[kind])
+    # An id or enum value needs no escaping; a number's repr is what json
+    # writes for it.
+    parts = [f'"kind": "{kind.value}"' if key == "kind"
+             else f'"{key}": "%s"' if paths[key].endswith(".value") else f'"{key}": %r'
+             for key in sorted([*paths, "kind"])]
+    return ("{" + ", ".join([*parts, '"ts": "%s"']) + "}\n",
+            attrgetter(*(paths[key] for key in sorted(paths))))
+
+
+_LINES = {kind: _line_format(kind) for kind in EventKind}
 
 # One validated id object per distinct value, shared by every record that
 # names it.  Ids are not secret, so the cache may outlive an ingest; a bad
@@ -195,15 +243,12 @@ TS_MAX = (datetime.max.replace(microsecond=0, tzinfo=timezone.utc)
 
 
 def _parse_ts(raw) -> datetime:
-    if isinstance(raw, datetime):
-        ts = raw
-    elif isinstance(raw, str):
-        try:
-            ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-        except ValueError:
-            raise FieldOutOfRange("ts", f"not an RFC3339 timestamp: {raw!r}")
-    else:
+    if not isinstance(raw, str):
         raise FieldOutOfRange("ts", f"unsupported timestamp type {type(raw).__name__}")
+    try:
+        ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+    except ValueError:
+        raise FieldOutOfRange("ts", f"not an RFC3339 timestamp: {raw!r}")
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     try:
@@ -215,20 +260,10 @@ def _parse_ts(raw) -> datetime:
     raise FieldOutOfRange("ts", f"out of range [{TS_MIN.isoformat()}, {TS_MAX.isoformat()}]: {raw!r}")
 
 
-def _number(raw: dict, name: str, high: float) -> float:
-    """The one rule for a float field: a finite number in [0, high]."""
-    try:
-        value = float(raw[name])
-    except (TypeError, ValueError, OverflowError):
-        value = math.nan
-    if not (math.isfinite(value) and 0.0 <= value <= high):
-        raise FieldOutOfRange(name, f"must be a finite number in [0, {high:g}]")
-    return value
-
-
 def validate(raw: dict) -> SessionRecord:
     """Validate a raw (already anonymized) record dict into a SessionRecord.
 
+    Values are JSON values, except that ``device`` may be a DeviceId.
     Raises FieldMissing / FieldOutOfRange / UnknownEventKind naming the
     first violated invariant and the offending field.
     """
@@ -237,43 +272,22 @@ def validate(raw: dict) -> SessionRecord:
             raise FieldMissing(f, "required field absent")
 
     ts = _parse_ts(raw["ts"])
-
-    kind_raw = raw["kind"]
     try:
-        kind = kind_raw if isinstance(kind_raw, EventKind) else EventKind(str(kind_raw))
+        kind = EventKind(str(raw["kind"]))
     except ValueError:
-        raise UnknownEventKind("kind", f"unknown event kind {kind_raw!r}")
-
+        raise UnknownEventKind("kind", f"unknown event kind {raw['kind']!r}")
     device = raw["device"] if isinstance(raw["device"], DeviceId) else _device_id(str(raw["device"]))
-    ap = raw["ap"] if isinstance(raw["ap"], ApId) else _ap_id(str(raw["ap"]))
+    ap = _ap_id(str(raw["ap"]))
 
-    required = _KIND_FIELDS[kind]
-    for f in required:
-        if raw.get(f) is None:
-            raise FieldMissing(f, f"required for kind={kind.value}")
-    for f in _OPTIONAL_FIELDS:
-        if f not in required and raw.get(f) is not None:
-            raise FieldOutOfRange(f, f"not applicable to kind={kind.value}")
-
-    kwargs: dict = {}
-    if kind is EventKind.DISASSOC:
-        kwargs["session_minutes"] = _number(raw, "session_minutes", MAX_SESSION_MINUTES)
-    elif kind is EventKind.TRAFFIC:
-        for f in ("bytes_up", "bytes_down"):
-            b = raw[f]
-            if not isinstance(b, int) or isinstance(b, bool) or b < 0:
-                raise FieldOutOfRange(f, "must be a non-negative integer")
-            kwargs[f] = b
-        try:
-            proto_raw = raw["proto"]
-            kwargs["proto"] = proto_raw if isinstance(proto_raw, Protocol) else Protocol(str(proto_raw))
-        except ValueError:
-            raise FieldOutOfRange("proto", f"unknown protocol {raw['proto']!r}")
-    elif kind is EventKind.AP_HEALTH:
-        kwargs["latency_ms"] = _number(raw, "latency_ms", math.inf)
-        kwargs["loss_pct"] = _number(raw, "loss_pct", 100.0)
-
-    return SessionRecord(ts=ts, device=device, ap=ap, kind=kind, **kwargs)
+    fields = PAYLOAD_FIELDS[kind]
+    for name, _, _ in fields:
+        if raw.get(name) is None:
+            raise FieldMissing(name, f"required for kind={kind.value}")
+    for name in _INAPPLICABLE[kind]:
+        if raw.get(name) is not None:
+            raise FieldOutOfRange(name, f"not applicable to kind={kind.value}")
+    return SessionRecord(ts, device, ap, kind, **{
+        name: _check(name, t, raw[name], high) for name, t, high in fields})
 
 
 @dataclass(frozen=True)

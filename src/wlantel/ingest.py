@@ -20,8 +20,10 @@ from typing import Iterable, Iterator, Optional, TextIO
 from .domain import (
     MAC_RE,
     DEVICE_ID_RE,
+    PAYLOAD_FIELDS,
     DeviceId,
     InputError,
+    Protocol,
     SessionRecord,
     ValidationError,
     validate,
@@ -29,10 +31,11 @@ from .domain import (
 
 SALT_ENV_VAR = "WLC_SALT_HEX"
 
-_CSV_COLUMNS = ("ts", "device", "ap", "kind", "session_minutes", "bytes_up",
-                "bytes_down", "proto", "latency_ms", "loss_pct")
-_INT_FIELDS = ("bytes_up", "bytes_down")
-_FLOAT_FIELDS = ("session_minutes", "latency_ms", "loss_pct")
+# The type of each CSV column's cells: its field's JSON type, so a Protocol
+# stays the string `validate` reads it from, as in JSONL.
+_CSV_TYPES = {**dict.fromkeys(("ts", "device", "ap", "kind"), str),
+              **{name: str if t is Protocol else t
+                 for fields in PAYLOAD_FIELDS.values() for name, t, _ in fields}}
 
 
 class IngestError(InputError):
@@ -160,10 +163,9 @@ def _csv_rows(reader):
     """Each row of ``reader``, or in its place the csv.Error that reading it
     raised (a cell past the field size limit), with the physical line the
     row starts on: a quoted cell may span lines.  The reader goes on with
-    the next line after an error.  The count is the csv reader's own, as
-    the DictReader's is not updated by a row that fails."""
+    the next line after an error."""
     while True:
-        line_no = reader.reader.line_num + 1
+        line_no = reader.line_num + 1
         try:
             yield line_no, next(reader)
         except StopIteration:
@@ -173,28 +175,27 @@ def _csv_rows(reader):
 
 
 def _parse_csv(stream, strict, stats):
-    reader = csv.DictReader(stream)
+    reader = csv.reader(stream)
     try:
-        reader.fieldnames
+        header = next(reader, [])
     except csv.Error as e:  # without its header no row can be read
         raise MalformedLine(1, f"bad CSV header: {e}") from None
+    # A repeated column name maps to its last column, as in a dict.
+    index = {name: i for i, name in enumerate(header)}
+    columns = [(name, index[name], t) for name, t in _CSV_TYPES.items() if name in index]
     for line_no, row in _csv_rows(reader):
         stats.lines_read += 1
         if isinstance(row, csv.Error):
             _reject(stats, strict, line_no, "bad_cell", f"bad cell: {row}")
             continue
+        if not row:
+            stats.record_error("blank_line")
+            continue
         raw: dict = {}
         try:
-            for col in _CSV_COLUMNS:
-                val = row.get(col)
-                if val is None or val == "":
-                    continue
-                if col in _INT_FIELDS:
-                    raw[col] = int(val)
-                elif col in _FLOAT_FIELDS:
-                    raw[col] = float(val)
-                else:
-                    raw[col] = val
+            for name, i, t in columns:
+                if i < len(row) and row[i] != "":
+                    raw[name] = t(row[i])
         except ValueError as e:
             _reject(stats, strict, line_no, "bad_cell", f"bad cell value: {e}")
             continue

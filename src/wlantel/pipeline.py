@@ -18,7 +18,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import descriptive
+from . import __version__, descriptive
 from .descriptive import DEFAULT_OVERLOAD_THRESHOLD, ApStats, InsufficientData
 from .detection.classify import classify
 from .detection.dbscan import NOISE, dbscan
@@ -32,7 +32,6 @@ from .domain import (
     BaselineProfile,
     DailyAggregate,
     Detector,
-    EventKind,
     SessionRecord,
 )
 from .ingest import Salt, anonymize_device
@@ -82,30 +81,10 @@ class AnalysisRun:
         return {a.day: counts.get(a.day, 0) for a in self.aggregates}
 
 
-def _canonical_line(r: SessionRecord) -> str:
-    """The bytes of json.dumps(r.to_json_dict(), sort_keys=True) plus a
-    newline, with one format per kind: ids and enum values need no
-    escaping, and a float's repr is what json writes for it."""
-    ts = r.ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
-    kind = r.kind
-    if kind is EventKind.TRAFFIC:
-        return (f'{{"ap": "{r.ap.value}", "bytes_down": {r.bytes_down}, "bytes_up": {r.bytes_up}, '
-                f'"device": "{r.device.value}", "kind": "traffic", "proto": "{r.proto.value}", '
-                f'"ts": "{ts}"}}\n')
-    if kind is EventKind.DISASSOC:
-        return (f'{{"ap": "{r.ap.value}", "device": "{r.device.value}", "kind": "disassoc", '
-                f'"session_minutes": {r.session_minutes!r}, "ts": "{ts}"}}\n')
-    if kind is EventKind.AP_HEALTH:
-        return (f'{{"ap": "{r.ap.value}", "device": "{r.device.value}", "kind": "ap_health", '
-                f'"latency_ms": {r.latency_ms!r}, "loss_pct": {r.loss_pct!r}, "ts": "{ts}"}}\n')
-    return (f'{{"ap": "{r.ap.value}", "device": "{r.device.value}", "kind": "{kind.value}", '
-            f'"ts": "{ts}"}}\n')
-
-
 def input_digest(records: Sequence[SessionRecord]) -> str:
     h = hashlib.sha256()
     for r in records:
-        h.update(_canonical_line(r).encode())
+        h.update(r.canonical_line().encode())
     return h.hexdigest()
 
 
@@ -216,6 +195,7 @@ def save_run(run: AnalysisRun, rundir: str, ingest: Optional[dict] = None) -> No
         _write_json(out / name, payload)
     _write_json(out / "manifest.json", {
         "run_id": run.run_id,
+        "version": __version__,
         "created": run.created,
         "input_digest": run.input_digest,
         "digest_algorithm": DIGEST_ALGORITHM,

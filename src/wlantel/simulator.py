@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime, time, timedelta
 from typing import Sequence
 
 import numpy as np
 
-from .domain import LOCAL_TZ, TS_MAX, AnomalyType, InputError
-
-UTC = timezone.utc
+from .domain import LOCAL_TZ, TS_MAX, AnomalyType, InputError, format_ts
 
 
 class InvalidConfig(InputError):
@@ -220,7 +218,7 @@ def _ap_weights(config: SimConfig) -> np.ndarray:
 
 def _ts_string(day: date, seconds: float) -> str:
     local = datetime.combine(day, time(0, 0), LOCAL_TZ) + timedelta(seconds=float(seconds))
-    return local.astimezone(UTC).isoformat().replace("+00:00", "Z")
+    return format_ts(local)
 
 
 def _sample_start_seconds(rng: np.random.Generator, curve: Sequence[float],

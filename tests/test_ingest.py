@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 
@@ -175,6 +176,41 @@ class TestParseCsv:
             list(parse_session_log(io.StringIO(text), format="csv", strict=True))
         assert exc.value.line_no == 4
         assert "line 4: bad cell value" in str(exc.value)
+
+    def test_blank_line_counted_and_later_rows_keep_their_line(self):
+        text = ("ts,device,ap,kind,session_minutes\n"
+                "\n"
+                f"2025-03-03T16:00:00Z,{MAC},AP-101,disassoc,sixty\n")
+        stats = IngestStats()
+        assert list(parse_session_log(io.StringIO(text), format="csv", stats=stats)) == []
+        assert stats.lines_read == 2
+        assert stats.errors == {"bad_cell": 1, "blank_line": 1}
+        with pytest.raises(MalformedLine) as exc:
+            list(parse_session_log(io.StringIO(text), format="csv", strict=True))
+        assert "line 3: bad cell value" in str(exc.value)
+
+    def test_every_kind_ingests_as_its_jsonl_twin(self, salt):
+        rows = [
+            assoc(),
+            dict(assoc(ts="2025-03-03T16:00:00Z"), kind="disassoc", session_minutes=60),
+            dict(assoc(ts="2025-03-03T16:05:00Z"), kind="auth_fail"),
+            dict(assoc(ts="2025-03-03T16:10:00Z"), kind="traffic", bytes_up=1200,
+                 bytes_down=3_400_000_000, proto="https"),
+            dict(assoc(ts="2025-03-03T16:15:00Z", mac="11:22:33:44:55:66"),
+                 kind="ap_health", latency_ms=12.5, loss_pct=0.25),
+        ]
+        # Columns in another order than the JSON keys: cells map by header.
+        columns = ["kind", "loss_pct", "proto", "bytes_down", "ts", "latency_ms",
+                   "session_minutes", "device", "bytes_up", "ap"]
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=columns, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+        from_csv, stats = ingest_stream(io.StringIO(text.getvalue()), salt, format="csv")
+        from_jsonl, _ = ingest_stream(jsonl(*rows), salt)
+        assert stats.accepted == 5
+        assert {r.kind.value for r in from_csv} == {r["kind"] for r in rows}
+        assert from_csv == from_jsonl
 
 
 class TestIngestStream:

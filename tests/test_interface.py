@@ -80,6 +80,15 @@ class TestCliBasics:
         for name in sub.choices:
             assert re.search(rf"\bwlantel {name}\b|`{name}`", readme), name
 
+    def test_simulate_without_injections(self, tmp_path, capsys):
+        labels = tmp_path / "labels.json"
+        args = ["--quiet", "simulate", "--days", "7", "--out", str(tmp_path / "t.jsonl"),
+                "--labels", str(labels), "--set", "weekday_users=20",
+                "--set", "weekend_users=20", "--set", "device_pool=50"]
+        assert main([*args, "--set", "inject=false"]) == 0
+        assert json.loads(labels.read_text()) == {"injections": []}
+        assert main([*args, "--no-inject"]) == 1  # the option is gone
+
     def test_missing_input_file_exits_1(self, salt_file, capsys):
         assert main(["ingest", "--in", "/nonexistent.jsonl",
                      "--salt-file", salt_file]) == 1

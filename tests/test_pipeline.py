@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import wlantel
 from wlantel import descriptive
 from wlantel.descriptive import InsufficientData
 from wlantel.domain import (
@@ -122,6 +123,7 @@ class TestSaveLoad:
         save_run(month_run, str(rundir))
         stored = load_run(str(rundir))
         assert stored.manifest["run_id"] == month_run.run_id
+        assert stored.manifest["version"] == wlantel.__version__
         assert stored.manifest["input_digest"] == month_run.input_digest
         assert len(stored.aggregates) == 30
         assert len(stored.anomalies) == len(month_run.anomalies)
