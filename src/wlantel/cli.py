@@ -16,16 +16,16 @@ from . import descriptive, report, service
 from .descriptive import DEFAULT_OVERLOAD_THRESHOLD
 from .detection.rules import DEFAULT_MAX_CONCURRENT
 from .detection.thresholds import DEFAULT_K, DEFAULT_WINDOW
-from .domain import AnomalyEvent, InputError
+from .domain import InputError
 from .ingest import SALT_ENV_VAR, Salt, ingest_file
 from .pipeline import (
     PipelineConfig,
-    _write_json,
     descriptive_artifacts,
     evaluate,
     load_run,
     run_pipeline,
     save_run,
+    write_artifacts,
 )
 from .simulator import GroundTruth, InvalidConfig, SimConfig, generate_month
 
@@ -164,14 +164,11 @@ def _cmd_ingest(args) -> int:
 def _cmd_analyze(args) -> int:
     records, _ = _ingest(args)
     desc = descriptive.describe(records, overload_threshold=args.overload_threshold)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     artifacts = descriptive_artifacts(desc.aggregates, desc.baseline, desc.ap_stats,
                                       desc.hourly.buckets)
-    for name, payload in artifacts.items():
-        _write_json(out / name, payload)
+    write_artifacts(args.out, artifacts)
     if not args.quiet:
-        print(f"wrote {len(artifacts)} artifacts to {out}", file=sys.stderr)
+        print(f"wrote {len(artifacts)} artifacts to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -189,15 +186,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     stored = load_run(args.run)
-    anomalies = [AnomalyEvent.from_json_dict(e) for e in stored.anomalies]
     with open(args.labels, "r", encoding="utf-8") as fh:
         truth = GroundTruth.from_json_dict(json.load(fh))
-    quality = evaluate(anomalies, truth, salt=_load_salt(args))
-
-    rows = {t.value: q.to_json_dict() for t, q in quality.items()
-            if not isinstance(t, str)}
-    print(json.dumps({"per_type": rows,
-                      "overall_recall": quality["overall_recall"]},
+    print(json.dumps(evaluate(stored.anomalies, truth, salt=_load_salt(args)),
                      indent=2, sort_keys=True))
     return 0
 

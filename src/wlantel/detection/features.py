@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
 
-from ..domain import BaselineProfile, DailyAggregate
+from ..domain import STD_FLOOR, BaselineProfile, DailyAggregate
 
 # Fixed feature order; every consumer indexes by this tuple.
 FEATURE_METRICS = (
@@ -19,8 +19,6 @@ FEATURE_METRICS = (
     "proto_share_dns",
     "duplicate_device_events",
 )
-
-STD_FLOOR = 1e-9  # avoids division by zero for constant metrics
 
 
 @dataclass(frozen=True)

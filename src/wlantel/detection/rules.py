@@ -7,9 +7,8 @@ from typing import Mapping
 
 # bench/tracer.py patches pair_sessions here as well, so the name must stay.
 from ..descriptive import pair_sessions  # noqa: F401
-from ..domain import AnomalyEvent, AnomalyType, DailyAggregate, Detector, InputError, Protocol
+from ..domain import STD_FLOOR, AnomalyEvent, AnomalyType, DailyAggregate, Detector, InputError, Protocol
 
-from .features import STD_FLOOR
 from .thresholds import DEFAULT_K
 
 DEFAULT_MAX_CONCURRENT = 3

@@ -7,9 +7,7 @@ import statistics
 from datetime import date
 from typing import Sequence
 
-from ..domain import AnomalyEvent, AnomalyType, Detector, InputError
-
-from .features import STD_FLOOR
+from ..domain import STD_FLOOR, AnomalyEvent, AnomalyType, Detector, InputError
 
 DEFAULT_WINDOW = 7
 DEFAULT_K = 3.0

@@ -28,6 +28,8 @@ GIGABYTE = 10**9
 
 MAX_SESSION_MINUTES = 1440.0
 
+STD_FLOOR = 1e-9  # avoids division by zero for constant metrics
+
 # \Z, not $: $ also matches before a trailing newline.
 MAC_RE = re.compile(r"^([0-9a-fA-F]{2}:){5}[0-9a-fA-F]{2}\Z")
 DEVICE_ID_RE = re.compile(r"^[0-9a-f]{32}\Z")
@@ -432,19 +434,6 @@ class AnomalyEvent:
             "ap": self.ap,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AnomalyEvent":
-        return cls(
-            day=date.fromisoformat(d["day"]),
-            type=AnomalyType(d["type"]),
-            detector=Detector(d["detector"]),
-            score=d["score"],
-            severity=Severity(d["severity"]) if d.get("severity") else None,
-            evidence=d.get("evidence", {}),
-            device=d.get("device"),
-            ap=d.get("ap"),
-        )
-
 
 @dataclass(frozen=True)
 class Recommendation:
@@ -457,12 +446,12 @@ class Recommendation:
         if self.target is None and not self.linked_events:
             raise FieldOutOfRange("target", "need a target AP or linked events")
 
-    def to_json_dict(self, event_index: Optional[dict] = None) -> dict:
-        linked = [event_index[id(e)] for e in self.linked_events] if event_index \
-            else [e.to_json_dict() for e in self.linked_events]
+    def to_json_dict(self, event_index: dict) -> dict:
+        """``event_index`` maps id() of each run event to its position in
+        anomalies.json; linked events are written as those positions."""
         return {
             "action": self.action.value,
             "target": self.target,
             "rationale": self.rationale,
-            "linked_events": linked,
+            "linked_events": [event_index[id(e)] for e in self.linked_events],
         }

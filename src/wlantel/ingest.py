@@ -188,7 +188,7 @@ def _parse_csv(stream, strict, stats):
         if isinstance(row, csv.Error):
             _reject(stats, strict, line_no, "bad_cell", f"bad cell: {row}")
             continue
-        if not row:
+        if not row or (len(row) == 1 and not row[0].strip()):
             stats.record_error("blank_line")
             continue
         raw: dict = {}

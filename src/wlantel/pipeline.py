@@ -13,8 +13,8 @@ import json
 import time
 import uuid
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
-from datetime import date, datetime, timezone
+from dataclasses import asdict, dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,6 +32,7 @@ from .domain import (
     BaselineProfile,
     DailyAggregate,
     Detector,
+    InputError,
     SessionRecord,
 )
 from .ingest import Salt, anonymize_device
@@ -179,9 +180,6 @@ def save_run(run: AnalysisRun, rundir: str, ingest: Optional[dict] = None) -> No
     accept/skip counts (``ingest``, `IngestStats.to_json_dict`) live only
     in the manifest.
     """
-    out = Path(rundir)
-    out.mkdir(parents=True, exist_ok=True)
-
     event_index = {id(e): i for i, e in enumerate(run.anomalies)}
     artifacts = {
         **descriptive_artifacts(run.aggregates, run.baseline, run.ap_stats,
@@ -191,9 +189,7 @@ def save_run(run: AnalysisRun, rundir: str, ingest: Optional[dict] = None) -> No
         "daily_anomaly_counts.json": {d.isoformat(): c
                                       for d, c in run.daily_anomaly_counts().items()},
     }
-    for name, payload in artifacts.items():
-        _write_json(out / name, payload)
-    _write_json(out / "manifest.json", {
+    write_artifacts(rundir, {**artifacts, "manifest.json": {
         "run_id": run.run_id,
         "version": __version__,
         "created": run.created,
@@ -203,7 +199,7 @@ def save_run(run: AnalysisRun, rundir: str, ingest: Optional[dict] = None) -> No
         "timings": run.timings,
         "ingest": ingest,
         "artifacts": sorted(artifacts),
-    })
+    }})
 
 
 def descriptive_artifacts(aggregates: Sequence[DailyAggregate],
@@ -219,10 +215,15 @@ def descriptive_artifacts(aggregates: Sequence[DailyAggregate],
     }
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+def write_artifacts(rundir: str, artifacts: dict) -> None:
+    """Write each payload of ``artifacts`` (file name -> JSON value) into
+    ``rundir``, creating it, as indented key-sorted JSON."""
+    out = Path(rundir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in artifacts.items():
+        with open(out / name, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
+            fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -258,81 +259,60 @@ def load_run(rundir: str) -> StoredRun:
     )
 
 
-@dataclass(frozen=True)
-class TypeQuality:
-    injected: int
-    detected: int
-    true_positive_events: int
-    false_positive_events: int
-
-    @property
-    def recall(self) -> Optional[float]:
-        return self.detected / self.injected if self.injected else None
-
-    @property
-    def precision(self) -> Optional[float]:
-        total = self.true_positive_events + self.false_positive_events
-        return self.true_positive_events / total if total else None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "injected": self.injected,
-            "detected": self.detected,
-            "true_positive_events": self.true_positive_events,
-            "false_positive_events": self.false_positive_events,
-            "recall": self.recall,
-            "precision": self.precision,
-        }
-
-
-def evaluate(anomalies: Sequence[AnomalyEvent], ground_truth: GroundTruth,
+def evaluate(anomalies: Sequence[dict], ground_truth: GroundTruth,
              salt: Optional[Salt] = None) -> dict:
-    """Precision/recall per anomaly type at day granularity.
+    """Precision/recall per anomaly type at day granularity, as the document
+    `wlantel evaluate` prints: ``{"per_type": {type: row}, "overall_recall"}``.
 
+    ``anomalies`` are a run's anomalies.json rows (`StoredRun.anomalies`).
     An injection counts detected iff some event of its type falls on the
     same day; device/AP-scoped events must additionally name an injected
-    device/AP.  Ground-truth devices are raw MACs, so the ingest salt maps
-    them onto event device ids.
+    device/AP.  Ground-truth devices are raw MACs, so labels that name
+    devices need the ingest salt to map them onto event device ids; without
+    it they raise InputError.
     """
-    by_type_truth: dict = defaultdict(list)  # type -> [(injection, its device ids)]
+    by_type_truth: dict = defaultdict(list)  # type -> [(day, device ids, aps)]
     for inj in ground_truth.injections:
-        devices = (set(inj.devices) if salt is None
-                   else {anonymize_device(m, salt).value for m in inj.devices})
-        by_type_truth[inj.type].append((inj, devices))
+        if inj.devices and salt is None:
+            raise InputError(f"labels name devices ({inj.type.value} on {inj.day}); "
+                             "matching them needs the salt the run was ingested with")
+        devices = {anonymize_device(m, salt).value for m in inj.devices}
+        by_type_truth[inj.type.value].append((inj.day.isoformat(), devices, inj.aps))
     by_type_events: dict = defaultdict(list)
     for e in anomalies:
-        by_type_events[e.type].append(e)
+        by_type_events[e["type"]].append(e)
 
     def matches(event, truth):
-        inj, devices = truth
-        if event.day != inj.day:
+        day, devices, aps = truth
+        if event["day"] != day:
             return False
-        if event.device is not None and event.device not in devices:
+        device, ap = event.get("device"), event.get("ap")
+        if device is not None and device not in devices:
             return False
-        if event.ap is not None and inj.aps and event.ap not in inj.aps:
+        if ap is not None and aps and ap not in aps:
             return False
         return True
 
-    report: dict = {}
-    all_types = sorted(set(by_type_truth) | set(by_type_events),
-                       key=lambda t: t.value)
+    per_type: dict = {}
     total_injected = total_detected = 0
-    for etype in all_types:
+    for etype in sorted(set(by_type_truth) | set(by_type_events)):
         injections = by_type_truth.get(etype, [])
         events = by_type_events.get(etype, [])
         detected = sum(1 for truth in injections
                        if any(matches(e, truth) for e in events))
         tp_events = sum(1 for e in events
                         if any(matches(e, truth) for truth in injections))
-        report[etype] = TypeQuality(
-            injected=len(injections),
-            detected=detected,
-            true_positive_events=tp_events,
-            false_positive_events=len(events) - tp_events,
-        )
+        per_type[etype] = {
+            "injected": len(injections),
+            "detected": detected,
+            "true_positive_events": tp_events,
+            "false_positive_events": len(events) - tp_events,
+            "recall": detected / len(injections) if injections else None,
+            "precision": tp_events / len(events) if events else None,
+        }
         total_injected += len(injections)
         total_detected += detected
 
-    report["overall_recall"] = (total_detected / total_injected
-                                if total_injected else None)
-    return report
+    return {"per_type": per_type,
+            "overall_recall": (total_detected / total_injected
+                               if total_injected else None)}

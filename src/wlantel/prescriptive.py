@@ -10,9 +10,9 @@ from collections import defaultdict
 from typing import Optional, Sequence
 
 from .descriptive import ApStats
-from .detection.features import STD_FLOOR
 from .detection.thresholds import DEFAULT_K
 from .domain import (
+    STD_FLOOR,
     Action,
     AnomalyEvent,
     AnomalyType,

@@ -186,13 +186,14 @@ def test_a6_detector_oracles():
 
 
 def test_a7_detection_quality(month_run, month_truth, salt):
-    report = evaluate(month_run.anomalies, month_truth, salt=salt)
+    report = evaluate([e.to_json_dict() for e in month_run.anomalies], month_truth,
+                      salt=salt)
     recall = report["overall_recall"]
     assert recall is not None and recall >= 0.8
 
     details = []
     for etype in (AnomalyType.AUTH_BURST, AnomalyType.DNS_ANOMALY):
-        precision = report[etype].precision
+        precision = report["per_type"][etype.value]["precision"]
         assert precision is not None, f"{etype.value}: no detections to score"
         assert precision >= 0.6, f"{etype.value}: precision {precision:.2f}"
         details.append(f"{etype.value} precision {precision:.2f}")

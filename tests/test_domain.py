@@ -260,8 +260,18 @@ class TestAnomalyEventAndRecommendation:
                          detector=Detector.THRESHOLD, score=3.5,
                          severity=Severity.LOW, ap="AP-105"),
         ]
-        stored = json.loads(json.dumps([e.to_json_dict() for e in events]))
-        assert [AnomalyEvent.from_json_dict(d) for d in stored] == events
+        assert [e.to_json_dict() for e in events] == [
+            {"day": "2025-03-03", "type": "auth_burst", "detector": "threshold",
+             "score": 4.5, "severity": None, "evidence": {}, "device": None,
+             "ap": None},
+            {"day": "2025-03-03", "type": "duplicate_device", "detector": "rule",
+             "score": 2.0, "severity": "high",
+             "evidence": {"aps": ["AP-101", "AP-102"], "text": "x"},
+             "device": "a" * 32, "ap": None},
+            {"day": "2025-03-03", "type": "ap_overload", "detector": "threshold",
+             "score": 3.5, "severity": "low", "evidence": {}, "device": None,
+             "ap": "AP-105"},
+        ]
 
     def test_recommendation_needs_target_or_events(self):
         with pytest.raises(FieldOutOfRange):

@@ -189,6 +189,16 @@ class TestParseCsv:
             list(parse_session_log(io.StringIO(text), format="csv", strict=True))
         assert "line 3: bad cell value" in str(exc.value)
 
+    def test_space_only_line_is_blank_as_in_jsonl(self, salt):
+        text = f"ts,device,ap,kind\n   \n2025-03-03T15:00:00Z,{MAC},AP-101,assoc\n"
+        twin = "   \n" + json.dumps(assoc()) + "\n"
+        from_jsonl, jsonl_stats = ingest_stream(io.StringIO(twin), salt)
+        from_csv, stats = ingest_stream(io.StringIO(text), salt, format="csv")
+        assert stats.errors == jsonl_stats.errors == {"blank_line": 1}
+        assert from_csv == from_jsonl and len(from_csv) == 1
+        strict_csv, _ = ingest_stream(io.StringIO(text), salt, format="csv", strict=True)
+        assert strict_csv == from_jsonl
+
     def test_every_kind_ingests_as_its_jsonl_twin(self, salt):
         rows = [
             assoc(),

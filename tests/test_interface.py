@@ -23,6 +23,7 @@ import pytest
 import wlantel
 from wlantel import descriptive
 from wlantel.cli import _build_parser, main
+from wlantel.ingest import SALT_ENV_VAR
 from wlantel.pipeline import load_run, save_run
 from wlantel.report import AP_CSV_HEADER, METRICS_CSV_HEADER, render_report
 from wlantel.service import make_server
@@ -252,6 +253,15 @@ def _internal_error(t, captured):
     assert "wlantel run: internal error: a bug, not bad input" in captured.err
 
 
+def _devices_without_salt(t):
+    # Labels hold raw MACs, which only the ingest salt maps onto device ids.
+    t.monkeypatch.delenv(SALT_ENV_VAR, raising=False)
+    labels = {"injections": [{"day": "2025-03-04", "type": "duplicate_device",
+                              "devices": ["06:00:00:00:00:01"]}]}
+    return ["evaluate", "--run", t.run, "--labels",
+            _file(t, "labels.json", json.dumps(labels))]
+
+
 # case -> (argv builder, expected exit code, check on the output or None)
 EXIT_CASES = {
     **{f"ingest-{n}": (lambda t, n=n: _ingest(t, _with_bad_lines(t, n)), 0, _ingest_skipped_one)
@@ -269,6 +279,7 @@ EXIT_CASES = {
         lambda t: ["evaluate", "--run", t.run, "--labels", _file(
             t, "labels.json", '{"injections": [{"day": "nope", "type": "auth_burst"}]}')],
         1, None),
+    "labels-devices-no-salt": (_devices_without_salt, 1, None),
     "bug-in-stage": (_bug_in_stage, 2, _internal_error),
     "salt-not-hex": (
         lambda t: ["ingest", "--in", str(t.trace), "--salt-file", _file(t, "zz.hex", "zz")],

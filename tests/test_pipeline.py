@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import wlantel
+from conftest import TEST_SALT_HEX
 from wlantel import descriptive
+from wlantel.cli import main
 from wlantel.descriptive import InsufficientData
 from wlantel.domain import (
     AnomalyEvent,
@@ -66,8 +68,7 @@ class TestRunPipeline:
         assert a.input_digest == b.input_digest
         assert a.aggregates == b.aggregates
         assert a.anomalies == b.anomalies
-        assert [r.to_json_dict() for r in a.recommendations] == \
-            [r.to_json_dict() for r in b.recommendations]
+        assert a.recommendations == b.recommendations
 
     def test_requires_seven_days(self, salt):
         raw, _ = generate_month(
@@ -173,15 +174,23 @@ GOLDEN_REPORT_DIGESTS = {
     "report.json": "0b29665801f55dc2d7e81d2a85f89b9a56f338eb51abe64e79e59e39a4bb9fb8",
 }
 GOLDEN_INPUT_DIGEST = "22ea1d06ebb8c8a0a0e8292c5455b31e4f9ae26c8ee2afc32f5dcbaef3e1f1f9"
+# And of what `wlantel evaluate` prints for that run against its labels.
+GOLDEN_EVALUATE_DIGEST = "a9c2b031e8cedb13afbfb48138119c405067d65e4a1227e7a89281b031172a0b"
 
 
-def test_artifacts_match_golden_digests(salt, tmp_path):
-    raw, _ = generate_month(GOLDEN_CONFIG, seed=3)
+def test_artifacts_match_golden_digests(salt, tmp_path, capsys):
+    raw, truth = generate_month(GOLDEN_CONFIG, seed=3)
     records = list(ingest_records(enumerate(raw, start=1), salt))
     rundir, reportdir = tmp_path / "run", tmp_path / "report"
     save_run(run_pipeline(records, PipelineConfig()), str(rundir))
     stored = load_run(str(rundir))
     render_report(stored, str(reportdir))
+    labels, salt_file = tmp_path / "labels.json", tmp_path / "salt.hex"
+    labels.write_text(json.dumps(truth.to_json_dict()), encoding="utf-8")
+    salt_file.write_text(TEST_SALT_HEX, encoding="utf-8")
+    assert main(["--quiet", "evaluate", "--run", str(rundir), "--labels", str(labels),
+                 "--salt-file", str(salt_file)]) == 0
+    evaluated = capsys.readouterr().out
 
     def digests(path):
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -190,6 +199,7 @@ def test_artifacts_match_golden_digests(salt, tmp_path):
     assert digests(rundir) == GOLDEN_DIGESTS
     assert digests(reportdir) == GOLDEN_REPORT_DIGESTS
     assert stored.manifest["input_digest"] == GOLDEN_INPUT_DIGEST
+    assert hashlib.sha256(evaluated.encode()).hexdigest() == GOLDEN_EVALUATE_DIGEST
 
 
 def test_baseline_built_once_per_run(salt, monkeypatch):
@@ -217,7 +227,8 @@ def truth_of(*injections):
 
 def det(etype, day=DAY, device=None, ap=None):
     return AnomalyEvent(day=day, type=etype, detector=Detector.RULE, score=1.0,
-                        severity=Severity.MEDIUM, device=device, ap=ap)
+                        severity=Severity.MEDIUM, device=device,
+                        ap=ap).to_json_dict()
 
 
 class TestEvaluate:
@@ -227,17 +238,17 @@ class TestEvaluate:
     def test_perfect_detection(self):
         inj = Injection(day=DAY, type=AnomalyType.AUTH_BURST)
         report = evaluate([det(AnomalyType.AUTH_BURST)], truth_of(inj))
-        q = report[AnomalyType.AUTH_BURST]
-        assert q.recall == 1.0
-        assert q.precision == 1.0
+        q = report["per_type"]["auth_burst"]
+        assert q["recall"] == 1.0
+        assert q["precision"] == 1.0
         assert report["overall_recall"] == 1.0
 
     def test_nothing_detected(self):
         inj = Injection(day=DAY, type=AnomalyType.AUTH_BURST)
         report = evaluate([], truth_of(inj))
-        q = report[AnomalyType.AUTH_BURST]
-        assert q.recall == 0.0
-        assert q.precision is None  # undefined, reported as absent
+        q = report["per_type"]["auth_burst"]
+        assert q["recall"] == 0.0
+        assert q["precision"] is None  # undefined, reported as absent
         assert report["overall_recall"] == 0.0
 
     def test_two_of_three_with_one_spurious(self):
@@ -246,15 +257,15 @@ class TestEvaluate:
         events = [det(AnomalyType.DNS_ANOMALY, day=DAY),
                   det(AnomalyType.DNS_ANOMALY, day=DAY + timedelta(days=1)),
                   det(AnomalyType.DNS_ANOMALY, day=DAY + timedelta(days=20))]
-        q = evaluate(events, truth_of(*injections))[AnomalyType.DNS_ANOMALY]
-        assert q.recall == pytest.approx(2 / 3)
-        assert q.precision == pytest.approx(2 / 3)
+        q = evaluate(events, truth_of(*injections))["per_type"]["dns_anomaly"]
+        assert q["recall"] == pytest.approx(2 / 3)
+        assert q["precision"] == pytest.approx(2 / 3)
 
     def test_type_must_match(self):
         inj = Injection(day=DAY, type=AnomalyType.AUTH_BURST)
         report = evaluate([det(AnomalyType.TRAFFIC_SPIKE)], truth_of(inj))
-        assert report[AnomalyType.AUTH_BURST].recall == 0.0
-        assert report[AnomalyType.TRAFFIC_SPIKE].false_positive_events == 1
+        assert report["per_type"]["auth_burst"]["recall"] == 0.0
+        assert report["per_type"]["traffic_spike"]["false_positive_events"] == 1
 
     def test_device_scoped_events_must_name_injected_device(self):
         device_id = anonymize_device(self.MAC, self.SALT).value
@@ -263,25 +274,25 @@ class TestEvaluate:
         hit = det(AnomalyType.DUPLICATE_DEVICE, device=device_id)
         miss = det(AnomalyType.DUPLICATE_DEVICE, device="f" * 32)
         report = evaluate([hit, miss], truth_of(inj), salt=self.SALT)
-        q = report[AnomalyType.DUPLICATE_DEVICE]
-        assert q.recall == 1.0
-        assert q.true_positive_events == 1
-        assert q.false_positive_events == 1
+        q = report["per_type"]["duplicate_device"]
+        assert q["recall"] == 1.0
+        assert q["true_positive_events"] == 1
+        assert q["false_positive_events"] == 1
 
     def test_ap_scoped_match(self):
         inj = Injection(day=DAY, type=AnomalyType.AP_OVERLOAD, aps=("AP-101",))
         hit = det(AnomalyType.AP_OVERLOAD, ap="AP-101")
         miss = det(AnomalyType.AP_OVERLOAD, ap="AP-109")
         report = evaluate([hit, miss], truth_of(inj))
-        assert report[AnomalyType.AP_OVERLOAD].detected == 1
-        assert report[AnomalyType.AP_OVERLOAD].false_positive_events == 1
+        assert report["per_type"]["ap_overload"]["detected"] == 1
+        assert report["per_type"]["ap_overload"]["false_positive_events"] == 1
 
     def test_order_of_events_within_day_irrelevant(self):
         inj = Injection(day=DAY, type=AnomalyType.AUTH_BURST)
         events = [det(AnomalyType.AUTH_BURST), det(AnomalyType.AUTH_BURST)]
         forward = evaluate(events, truth_of(inj))
         backward = evaluate(list(reversed(events)), truth_of(inj))
-        assert forward[AnomalyType.AUTH_BURST] == backward[AnomalyType.AUTH_BURST]
+        assert forward["per_type"]["auth_burst"] == backward["per_type"]["auth_burst"]
 
     def test_empty_truth_has_no_overall_recall(self):
         report = evaluate([det(AnomalyType.AUTH_BURST)], truth_of())
