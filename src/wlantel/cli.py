@@ -16,8 +16,8 @@ from . import descriptive, report, service
 from .descriptive import DEFAULT_OVERLOAD_THRESHOLD
 from .detection.rules import DEFAULT_MAX_CONCURRENT
 from .detection.thresholds import DEFAULT_K, DEFAULT_WINDOW
-from .domain import InputError
-from .ingest import SALT_ENV_VAR, Salt, ingest_file
+from .domain import InputError, as_table
+from .ingest import SALT_ENV_VAR, IngestStats, Salt, ingest_file
 from .pipeline import (
     PipelineConfig,
     descriptive_artifacts,
@@ -112,10 +112,13 @@ def _load_salt(args) -> Salt | None:
     return None
 
 
-def _ingest(args):
+def _ingest(args, stats: IngestStats):
+    """The input's record chunks, read as they are consumed; ``stats``
+    counts its lines."""
     salt = _load_salt(args)
     return ingest_file(args.input, salt, strict=args.strict,
-                       pre_anonymized=args.pre_anonymized, format=args.format)
+                       pre_anonymized=args.pre_anonymized, format=args.format,
+                       stats=stats)
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -152,7 +155,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    records, stats = _ingest(args)
+    stats = IngestStats()
+    records = as_table(_ingest(args, stats))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for r in records:
@@ -162,8 +166,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    records, _ = _ingest(args)
-    desc = descriptive.describe(records, overload_threshold=args.overload_threshold)
+    desc = descriptive.describe(_ingest(args, IngestStats()),
+                                overload_threshold=args.overload_threshold)
     artifacts = descriptive_artifacts(desc.aggregates, desc.baseline, desc.ap_stats,
                                       desc.hourly.buckets)
     write_artifacts(args.out, artifacts)
@@ -173,8 +177,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    records, stats = _ingest(args)
-    run = run_pipeline(records, _pipeline_config(args))
+    stats = IngestStats()
+    run = run_pipeline(_ingest(args, stats), _pipeline_config(args))
     save_run(run, args.out, ingest=stats.to_json_dict())
     if not args.quiet:
         print(f"run {run.run_id}: {stats.accepted} records, "

@@ -2,7 +2,8 @@
 
 All types are immutable after validation and safe to share across threads.
 No I/O and no algorithms live here, only validated data, the one record
-schema (PAYLOAD_FIELDS) and the record validator itself.
+schema (PAYLOAD_FIELDS), the record validator itself and RecordTable, the
+columnar form every stage after ingest reads.
 
 Unit conventions, fixed once:
   - gigabyte = 10^9 bytes (decimal),
@@ -15,12 +16,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from functools import lru_cache
-from operator import attrgetter
-from typing import Optional
+from functools import cached_property, lru_cache
+from itertools import chain
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 LOCAL_TZ = timezone(timedelta(hours=-5))  # campus local time, no DST
 
@@ -162,12 +165,6 @@ class SessionRecord:
             d[name] = value.value if t is Protocol else value
         return d
 
-    def canonical_line(self) -> str:
-        """The bytes of json.dumps(self.to_json_dict(), sort_keys=True) plus
-        a newline, written with the kind's printf format."""
-        line_format, values = _LINES[self.kind]
-        return line_format % (*values(self), format_ts(self.ts))
-
 
 def format_ts(ts: datetime) -> str:
     """RFC 3339 in UTC with a "Z" suffix, the form of every timestamp written."""
@@ -212,28 +209,11 @@ def _check(name: str, t: type, value, high: Optional[float]):
     return value
 
 
-def _line_format(kind: EventKind) -> tuple[str, attrgetter]:
-    """The printf format of a kind's canonical line and the getter of its
-    values but the last: "ts" sorts after every other key."""
-    paths = {"ap": "ap.value", "device": "device.value"}
-    paths.update((name, f"{name}.value" if t is Protocol else name)
-                 for name, t, _ in PAYLOAD_FIELDS[kind])
-    # An id or enum value needs no escaping; a number's repr is what json
-    # writes for it.
-    parts = [f'"kind": "{kind.value}"' if key == "kind"
-             else f'"{key}": "%s"' if paths[key].endswith(".value") else f'"{key}": %r'
-             for key in sorted([*paths, "kind"])]
-    return ("{" + ", ".join([*parts, '"ts": "%s"']) + "}\n",
-            attrgetter(*(paths[key] for key in sorted(paths))))
-
-
-_LINES = {kind: _line_format(kind) for kind in EventKind}
-
 # One validated id object per distinct value, shared by every record that
 # names it.  Ids are not secret, so the cache may outlive an ingest; a bad
 # value raises and is not cached.
-_device_id = lru_cache(maxsize=1 << 16)(DeviceId)
-_ap_id = lru_cache(maxsize=1 << 16)(ApId)
+intern_device = lru_cache(maxsize=1 << 16)(DeviceId)
+intern_ap = lru_cache(maxsize=1 << 16)(ApId)
 
 
 # The instants the pipeline can do date arithmetic on: the local form of
@@ -278,8 +258,8 @@ def validate(raw: dict) -> SessionRecord:
         kind = EventKind(str(raw["kind"]))
     except ValueError:
         raise UnknownEventKind("kind", f"unknown event kind {raw['kind']!r}")
-    device = raw["device"] if isinstance(raw["device"], DeviceId) else _device_id(str(raw["device"]))
-    ap = _ap_id(str(raw["ap"]))
+    device = raw["device"] if isinstance(raw["device"], DeviceId) else intern_device(str(raw["device"]))
+    ap = intern_ap(str(raw["ap"]))
 
     fields = PAYLOAD_FIELDS[kind]
     for name, _, _ in fields:
@@ -290,6 +270,224 @@ def validate(raw: dict) -> SessionRecord:
             raise FieldOutOfRange(name, f"not applicable to kind={kind.value}")
     return SessionRecord(ts, device, ap, kind, **{
         name: _check(name, t, raw[name], high) for name, t, high in fields})
+
+
+# Column codes: a record's kind and protocol are its index in these.
+KINDS = tuple(EventKind)
+PROTOCOLS = tuple(Protocol)
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+_DAY_SECONDS = 86400
+_LOCAL_OFFSET_S = LOCAL_TZ.utcoffset(None) // _SECOND
+
+
+def epoch_seconds(ts: datetime) -> int:
+    return (ts - _EPOCH) // _SECOND
+
+
+def local_seconds(ts: np.ndarray) -> np.ndarray:
+    """Epoch seconds as LOCAL_TZ wall-clock seconds since 1970-01-01T00:00:
+    LOCAL_TZ is a fixed offset, so local time is integer arithmetic."""
+    return ts + _LOCAL_OFFSET_S
+
+
+def local_days(ts: np.ndarray) -> np.ndarray:
+    """The local day of each epoch second, as days since 1970-01-01."""
+    return local_seconds(ts) // _DAY_SECONDS
+
+
+def day_date(day: int) -> date:
+    """The date of a `local_days` value."""
+    return _EPOCH.date() + timedelta(days=int(day))
+
+
+# Each payload column's dtype and the value that marks a row whose kind
+# does not carry the field.
+_PAYLOAD_COLUMNS = {name: (np.float64, math.nan) if t is float
+                    else (np.int64, -1) if t is int else (np.int8, -1)
+                    for fields in PAYLOAD_FIELDS.values() for name, t, _ in fields}
+# The columns that hold one value per row, ids aside.
+_ROW_COLUMNS = ("ts", "kind", *_PAYLOAD_COLUMNS, "line")
+# Rows per string that `RecordTable.canonical_lines` yields.
+_DIGEST_BLOCK = 1 << 13
+
+
+def payload_columns(n: int) -> dict:
+    """The payload columns of ``n`` rows, none of which carries its field."""
+    return {name: np.full(n, fill, dtype) for name, (dtype, fill) in _PAYLOAD_COLUMNS.items()}
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Validated records as numpy columns, one row per record, in input
+    order: the form every stage after ingest reads.
+
+    ``kind`` and ``proto`` index KINDS and PROTOCOLS (``proto`` is -1 where
+    the kind carries none).  ``device`` and ``ap`` index ``devices`` and
+    ``aps``, tuples of distinct shared id objects, which may hold ids no row
+    names.  A float payload column holds NaN, and an int one -1, where the
+    row's kind does not carry the field; an int column is int64, or object
+    when a value does not fit.  As a sequence the table reads back as
+    SessionRecords.
+    """
+
+    ts: np.ndarray               # int64 epoch seconds, UTC
+    kind: np.ndarray             # int8
+    proto: np.ndarray            # int8
+    device: np.ndarray           # int32
+    ap: np.ndarray               # int32
+    session_minutes: np.ndarray  # float64
+    latency_ms: np.ndarray
+    loss_pct: np.ndarray
+    bytes_up: np.ndarray         # int64 or object
+    bytes_down: np.ndarray
+    line: np.ndarray             # int64 input line number
+    devices: tuple
+    aps: tuple
+
+    @cached_property
+    def day(self) -> np.ndarray:
+        """int64 `local_days` of ts."""
+        return local_days(self.ts)
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i: int) -> SessionRecord:
+        kind = KINDS[self.kind[i]]
+        payload = {name: PROTOCOLS[self.proto[i]] if t is Protocol else t(getattr(self, name)[i])
+                   for name, t, _ in PAYLOAD_FIELDS[kind]}
+        return SessionRecord(_EPOCH + int(self.ts[i]) * _SECOND, self.devices[self.device[i]],
+                             self.aps[self.ap[i]], kind, **payload)
+
+    def __iter__(self) -> Iterator[SessionRecord]:
+        return (self[i] for i in range(len(self)))
+
+    def take(self, rows) -> "RecordTable":
+        """The table of ``rows``, an index array or a mask."""
+        return replace(self, **{name: getattr(self, name)[rows]
+                                for name in (*_ROW_COLUMNS, "device", "ap")})
+
+    @classmethod
+    def from_records(cls, records: Iterable[SessionRecord],
+                     lines: Optional[Iterable[int]] = None) -> "RecordTable":
+        """The table of ``records``, numbered 1, 2, ... unless ``lines`` are given."""
+        records = list(records)
+        devices, aps = _IdMerger(), _IdMerger()
+        payload = {}
+        for name, (dtype, fill) in _PAYLOAD_COLUMNS.items():
+            values = [fill if (v := getattr(r, name)) is None
+                      else PROTOCOLS.index(v) if isinstance(v, Protocol) else v for r in records]
+            try:
+                payload[name] = np.array(values, dtype)
+            except OverflowError:  # an int past int64
+                payload[name] = np.array(values, dtype=object)
+        return cls(
+            ts=np.array([epoch_seconds(r.ts) for r in records], np.int64),
+            kind=np.array([KINDS.index(r.kind) for r in records], np.int8),
+            device=devices.codes([r.device for r in records]),
+            ap=aps.codes([r.ap for r in records]), **payload,
+            line=np.array(range(1, len(records) + 1) if lines is None else list(lines),
+                          np.int64),
+            devices=tuple(devices.ids), aps=tuple(aps.ids))
+
+    @classmethod
+    def concat(cls, tables: Iterable["RecordTable"]) -> "RecordTable":
+        """The rows of ``tables`` one after another, over merged id tuples.
+        Each table is copied into columns that grow by doubling as it
+        arrives, so a stream of chunks is freed as it is joined rather than
+        held until one concatenate at the end."""
+        devices, aps = _IdMerger(), _IdMerger()
+        columns: dict = {}
+        n = 0
+        for t in tables:
+            part = {name: getattr(t, name) for name in _ROW_COLUMNS}
+            part.update(device=devices.codes(t.devices)[t.device], ap=aps.codes(t.aps)[t.ap])
+            for name, values in part.items():
+                column = columns.get(name)
+                dtype = values.dtype if column is None else np.result_type(column, values)
+                if column is None or len(column) < n + len(values) or dtype != column.dtype:
+                    grown = np.empty(max(n + len(values), 2 * n, 1 << 16), dtype)
+                    if column is not None:
+                        grown[:n] = column[:n]
+                    column = columns[name] = grown
+                column[n:n + len(values)] = values
+            n += len(t)
+        if not columns:
+            return cls.from_records(())
+        return cls(**{name: column[:n] for name, column in columns.items()},
+                   devices=tuple(devices.ids), aps=tuple(aps.ids))
+
+    def canonical_lines(self) -> Iterator[str]:
+        """Every record's json.dumps(record.to_json_dict(), sort_keys=True)
+        plus a newline, in row order, joined into one string per
+        _DIGEST_BLOCK rows."""
+        values = {"device": np.array([d.value for d in self.devices], dtype=object),
+                  "ap": np.array([a.value for a in self.aps], dtype=object),
+                  "proto": np.array([p.value for p in PROTOCOLS], dtype=object)}
+        for start in range(0, len(self), _DIGEST_BLOCK):
+            rows = slice(start, start + _DIGEST_BLOCK)
+            ts_text = np.datetime_as_string(self.ts[rows].astype("datetime64[s]"), unit="s")
+            kinds = self.kind[rows]
+            lines = np.empty(len(kinds), dtype=object)
+            for code, (line_format, keys) in enumerate(_LINES):
+                at = np.flatnonzero(kinds == code)
+                if not at.size:
+                    continue
+                columns = [(values[key][getattr(self, key)[at + start]] if key in values
+                            else getattr(self, key)[at + start]).tolist() for key in keys]
+                lines[at] = np.array([line_format % v for v in zip(*columns, ts_text[at].tolist())],
+                                     dtype=object)
+            yield "".join(lines.tolist())
+
+
+def as_table(records) -> RecordTable:
+    """``records`` as one RecordTable: a table, or an iterable of tables
+    (ingest's chunks, joined) or of SessionRecords."""
+    if isinstance(records, RecordTable):
+        return records
+    records = iter(records)
+    first = next(records, None)
+    if isinstance(first, RecordTable):
+        return RecordTable.concat(chain([first], records))
+    return RecordTable.from_records(() if first is None else chain([first], records))
+
+
+class _IdMerger:
+    """The distinct ids, by value, of one or more sequences of ids, in the
+    order first seen."""
+
+    def __init__(self):
+        self.ids: list = []
+        self._index: dict = {}
+
+    def codes(self, ids) -> np.ndarray:
+        """Each id's code among the merged ids, adding the new ones."""
+        codes = np.empty(len(ids), np.int32)
+        for k, i in enumerate(ids):
+            code = self._index.get(i.value)
+            if code is None:
+                code = self._index[i.value] = len(self.ids)
+                self.ids.append(i)
+            codes[k] = code
+        return codes
+
+
+def _line_format(kind: EventKind) -> tuple[str, tuple]:
+    """The printf format of a kind's canonical line and the columns of its
+    values but the last: "ts" sorts after every other key."""
+    keys = sorted(["ap", "device", *(name for name, _, _ in PAYLOAD_FIELDS[kind])])
+    # An id or enum value needs no escaping; a number's repr is what json
+    # writes for it.
+    strings = {"ap", "device", "proto"}
+    parts = [f'"kind": "{kind.value}"' if key == "kind"
+             else f'"{key}": "%s"' if key in strings else f'"{key}": %r'
+             for key in sorted([*keys, "kind"])]
+    return "{" + ", ".join([*parts, '"ts": "%sZ"']) + "}\n", tuple(keys)
+
+
+_LINES = tuple(_line_format(kind) for kind in KINDS)
 
 
 @dataclass(frozen=True)

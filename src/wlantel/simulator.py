@@ -163,10 +163,18 @@ class Injection:
         return cls(
             day=date.fromisoformat(d["day"]),
             type=AnomalyType(d["type"]),
-            devices=tuple(d.get("devices", ())),
-            aps=tuple(d.get("aps", ())),
+            devices=_strings(d, "devices"),
+            aps=_strings(d, "aps"),
             magnitude=float(d.get("magnitude", 0.0)),
         )
+
+
+def _strings(d: dict, key: str) -> tuple:
+    """``d[key]``, a list of strings, as a tuple; empty when absent."""
+    values = d.get(key, [])
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ValueError(f"{key} must be a list of strings, got {values!r}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)

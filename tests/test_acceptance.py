@@ -29,7 +29,7 @@ from wlantel.detection.iforest import (
     fit_isolation_forest,
     iforest_score,
 )
-from wlantel.domain import AnomalyType
+from wlantel.domain import AnomalyType, as_table
 from wlantel.ingest import ingest_records
 from wlantel.pipeline import evaluate
 from wlantel.prescriptive import flag_aps
@@ -64,16 +64,17 @@ def seed_summaries(salt):
     for seed in SEEDS:
         t0 = time.perf_counter()
         raw, _ = generate_month(SimConfig(), seed=seed)
-        records = list(ingest_records(enumerate(raw, start=1), salt))
+        records = as_table(ingest_records(enumerate(raw, start=1), salt))
         desc = descriptive.describe(records)
         aggregates, hourly = desc.aggregates, desc.hourly
         seconds = time.perf_counter() - t0
 
         conns = [a.connections for a in aggregates]
         gbs = [a.traffic_gb for a in aggregates]
-        downstream = json.dumps(
-            [r.to_json_dict() for r in records]
-            + [a.to_json_dict() for a in aggregates]
+        # Every record's JSON, as the input digest reads it, and every
+        # descriptive product.
+        downstream = "".join(records.canonical_lines()) + json.dumps(
+            [a.to_json_dict() for a in aggregates]
             + [s.to_json_dict() for s in desc.ap_stats]
             + [desc.baseline.to_json_dict(), list(hourly.buckets)])
         summaries.append(SeedSummary(

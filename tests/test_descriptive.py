@@ -3,12 +3,15 @@ baselines, and the descriptive stage that shares them."""
 
 from __future__ import annotations
 
+import json
 import random
 import statistics
 from datetime import date, datetime, timedelta, timezone
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
+from descriptive_oracle import naive_describe
 from hypothesis import strategies as st
 
 from wlantel import descriptive
@@ -22,7 +25,6 @@ from wlantel.descriptive import (
     build_baseline,
     describe,
     device_overlaps,
-    group_by_day,
     hourly_profile,
     observed_days,
     pair_sessions,
@@ -38,6 +40,8 @@ from wlantel.domain import (
     MAX_SESSION_MINUTES,
     MIN_BASELINE_DAYS,
     Protocol,
+    RecordTable,
+    day_date,
     validate,
 )
 
@@ -67,8 +71,37 @@ def session(device, ap, start_h, end_h, day=DAY):
                 session_minutes=minutes)]
 
 
+def table_of(records):
+    return RecordTable.from_records(records)
+
+
+class SessionRow(NamedTuple):
+    device: DeviceId
+    ap: ApId
+    start: datetime
+    end: datetime
+    day: date
+
+
+def rows_of(sessions):
+    """`pair_sessions` columns as one row per session."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    return [SessionRow(sessions.devices[d], sessions.aps[a], epoch + timedelta(seconds=int(s)),
+                       epoch + timedelta(seconds=int(e)), day_date(day))
+            for d, a, s, e, day in zip(sessions.device, sessions.ap, sessions.start,
+                                       sessions.end, sessions.day)]
+
+
 def sessions_of(records):
-    return pair_sessions(group_by_day(records))
+    return rows_of(pair_sessions(table_of(records)))
+
+
+def peaks_of(records):
+    """`ap_day_peaks` of the records' sessions as (ApId, day) -> peak."""
+    sessions = pair_sessions(table_of(records))
+    peaks = ap_day_peaks(sessions)
+    return {(sessions.aps[a], day_date(d)): int(p)
+            for a, d, p in zip(peaks.ap, peaks.day, peaks.peak)}
 
 
 def described(records, **kwargs):
@@ -118,7 +151,7 @@ class TestPairSessions:
 
 class TestAggregateDaily:
     def test_empty_day_is_zero_aggregate(self):
-        agg = aggregate_daily((), DAY, 0, 0)
+        (agg,) = aggregate_daily(table_of([]), [DAY], [0], [0])
         assert agg.connections == 0
         assert agg.traffic_gb == 0.0
         assert agg.overload_pct == 0.0
@@ -175,14 +208,15 @@ class TestObservedDays:
     def test_inclusive_range_with_gaps(self):
         records = (session(1, "AP-101", 9, 10, day=DAY)
                    + session(1, "AP-101", 9, 10, day=DAY + timedelta(days=3)))
-        assert observed_days(group_by_day(records)) == [DAY + timedelta(days=i) for i in range(4)]
+        assert observed_days(table_of(records)) == [DAY + timedelta(days=i) for i in range(4)]
 
     def test_empty(self):
-        assert observed_days([]) == []
+        assert observed_days(table_of([])) == []
 
 
 def ap_stats_of(records):
-    return ap_load_stats(records, ap_day_peaks(sessions_of(records)))
+    table = table_of(records)
+    return ap_load_stats(table, ap_day_peaks(pair_sessions(table)))
 
 
 class TestApLoadStats:
@@ -207,7 +241,8 @@ class TestApLoadStats:
 
 
 def hourly_of(records):
-    return hourly_profile(sessions_of(records), observed_days(group_by_day(records)))
+    table = table_of(records)
+    return hourly_profile(pair_sessions(table), observed_days(table))
 
 
 class TestHourlyProfile:
@@ -256,7 +291,7 @@ class TestDescribe:
     def test_session_across_midnight_feeds_its_start_day_and_the_overlaps_after(self):
         # Its own start feeds DAY's AP peak.  The sessions that start while
         # it is open, and the 00:00 hour mark, fall on DAY + 1.
-        assert ap_day_peaks(sessions_of(self.crossing())) == {
+        assert peaks_of(self.crossing()) == {
             (ApId("AP-101"), DAY): 1, (ApId("AP-101"), self.NEXT): 2,
             (ApId("AP-102"), self.NEXT): 1}
         desc = described(self.crossing(), overload_threshold=1)
@@ -280,7 +315,7 @@ class TestDescribe:
 
     def test_device_overlaps_name_the_aps_held_at_once(self):
         records = session(1, "AP-101", 9, 11) + session(1, "AP-102", 10, 12)
-        assert device_overlaps(sessions_of(records)) == {
+        assert device_overlaps(pair_sessions(table_of(records))) == {
             (DeviceId(dev(1)), DAY): DeviceDay(
                 peak=2, aps=frozenset({ApId("AP-101"), ApId("AP-102")}))}
         types = {e.type for e in detect_duplicate_devices(described(records).device_days)}
@@ -385,3 +420,124 @@ def test_baseline_is_order_independent(values, seed):
     seed.shuffle(shuffled)
     assert build_baseline(aggs) == build_baseline(shuffled)
 
+
+
+# -- the column passes against plain loops ------------------------------------
+
+def at(day_offset, hour, minute=0, second=0, micro=0):
+    """Local wall-clock time on DAY + day_offset as a UTC timestamp string
+    with a fraction, which validation truncates to the second."""
+    local = datetime(DAY.year, DAY.month, DAY.day, hour, minute, second, micro,
+                     tzinfo=timezone(timedelta(hours=-5))) + timedelta(days=day_offset)
+    return local.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+
+
+def raw(kind, when, device, ap="AP-101", **extra):
+    return validate({"ts": when, "device": dev(device), "ap": ap, "kind": kind, **extra})
+
+
+EDGE_CASES = [
+    # A session crossing local midnight, and one on another AP while it is open.
+    raw("assoc", at(0, 23, 30), 1),
+    raw("assoc", at(1, 0, 5), 1, "AP-102"),
+    raw("disassoc", at(1, 0, 15), 1, "AP-102", session_minutes=10.0),
+    raw("disassoc", at(1, 0, 30), 1, session_minutes=60.0),
+    # An orphan disassoc.
+    raw("disassoc", at(0, 10), 2, session_minutes=0.1),
+    # An assoc never closed: capped at MAX_SESSION_MINUTES, the window
+    # running on for days.
+    raw("assoc", at(0, 8), 3, "AP-103"),
+    # A zero-length session.
+    raw("assoc", at(0, 12), 4, "AP-102"),
+    raw("disassoc", at(0, 12), 4, "AP-102", session_minutes=0.0),
+    # A session ending at the instant another starts, on one AP and on one
+    # device.
+    raw("assoc", at(0, 9), 5, "AP-104"),
+    raw("disassoc", at(0, 10), 5, "AP-104", session_minutes=60.0),
+    raw("assoc", at(0, 10), 6, "AP-104"),
+    raw("disassoc", at(0, 11), 6, "AP-104", session_minutes=60.0),
+    raw("assoc", at(0, 10), 5, "AP-105"),
+    raw("disassoc", at(0, 11), 5, "AP-105", session_minutes=0.7),
+    # Same-second ties from truncation: an assoc then its disassoc, and a
+    # disassoc read before the assoc of its second.
+    raw("assoc", at(2, 13, 0, 0, 200_000), 7),
+    raw("disassoc", at(2, 13, 0, 0, 700_000), 7, session_minutes=0.2),
+    raw("disassoc", at(2, 14, 0, 0, 900_000), 8, session_minutes=0.3),
+    raw("assoc", at(2, 14, 0, 0, 100_000), 8),
+    raw("assoc", at(2, 14, 0, 0, 500_000), 9),
+    raw("assoc", at(2, 14, 0, 0, 500_000), 9),
+    raw("disassoc", at(2, 16), 9, session_minutes=120.0),
+    # Traffic, failures and health samples, with sums that depend on order.
+    raw("traffic", at(0, 9), 1, bytes_up=10**9, bytes_down=3, proto="dns"),
+    raw("traffic", at(0, 9), 2, "AP-102", bytes_up=2**62, bytes_down=2**62, proto="https"),
+    raw("auth_fail", at(3, 9), 3),
+    raw("ap_health", at(0, 9), 0, latency_ms=0.1, loss_pct=0.7),
+    raw("ap_health", at(1, 9), 0, latency_ms=0.2, loss_pct=1e-17),
+    raw("ap_health", at(2, 9), 0, latency_ms=0.3, loss_pct=33.3),
+    # Twenty session lengths whose float sum depends on the order of adding.
+    *(raw("disassoc", at(3, 10, i), 10, session_minutes=0.1 * (i + 1) + 1 / (i + 3))
+      for i in range(20)),
+    # Nothing on DAY + 4: an empty day inside the window.
+    raw("auth_fail", at(5, 9), 99),
+]
+
+
+def assert_describe_matches_oracle(records, overload_threshold):
+    desc = describe(table_of(records), overload_threshold=overload_threshold)
+    aggregates, ap_stats, hourly, device_days = naive_describe(records, overload_threshold)
+    assert list(desc.aggregates) == aggregates
+    assert list(desc.ap_stats) == ap_stats
+    assert desc.hourly.buckets == hourly
+    assert desc.device_days == device_days
+    # Equal floats can still differ in sign or print; the JSON cannot.
+    assert json.dumps([a.to_json_dict() for a in desc.aggregates]) == \
+        json.dumps([a.to_json_dict() for a in aggregates])
+    assert json.dumps([s.to_json_dict() for s in desc.ap_stats]) == \
+        json.dumps([s.to_json_dict() for s in ap_stats])
+    assert json.dumps(desc.hourly.buckets) == json.dumps(hourly)
+
+
+# Before 1970 every epoch second is negative: an assoc never closed ends at
+# the last event, not at the epoch.
+PRE_EPOCH_CASES = [
+    raw("auth_fail", "1969-12-26T12:00:00Z", 3),
+    raw("assoc", "1969-12-31T00:00:00Z", 1),
+    raw("assoc", "1969-12-31T00:30:00Z", 2, "AP-102"),
+    raw("disassoc", "1969-12-31T00:45:00Z", 2, "AP-102", session_minutes=15.0),
+    raw("auth_fail", "1969-12-31T00:50:00Z", 3),
+    raw("disassoc", "1969-12-31T01:00:00Z", 4, session_minutes=1.0),
+]
+
+
+@pytest.mark.parametrize("cases", [EDGE_CASES, PRE_EPOCH_CASES], ids=["2025", "pre_epoch"])
+@pytest.mark.parametrize("overload_threshold", [0, 1, 2, 50])
+def test_describe_matches_plain_loops_on_edge_cases(cases, overload_threshold):
+    assert_describe_matches_oracle(cases, overload_threshold)
+    assert_describe_matches_oracle(cases[::-1], overload_threshold)
+
+
+@st.composite
+def random_records(draw):
+    """A few devices and APs over six days, every kind, times on a coarse
+    grid so that instants and seconds tie often."""
+    records = [raw("auth_fail", at(0, 0), 0), raw("auth_fail", at(5, 23, 59), 0)]
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["assoc", "assoc", "disassoc", "disassoc", "traffic",
+                                     "auth_fail", "ap_health"]))
+        when = at(draw(st.integers(0, 5)), draw(st.integers(0, 23)),
+                  draw(st.sampled_from([0, 30])), 0, draw(st.sampled_from([0, 999_999])))
+        extra = {"disassoc": {"session_minutes": draw(st.floats(0, 1440))},
+                 "traffic": {"bytes_up": draw(st.integers(0, 10**12)),
+                             "bytes_down": draw(st.integers(0, 10**12)),
+                             "proto": draw(st.sampled_from([p.value for p in Protocol]))},
+                 "ap_health": {"latency_ms": draw(st.floats(0, 1e3)),
+                               "loss_pct": draw(st.floats(0, 100))}}.get(kind, {})
+        records.append(raw(kind, when, draw(st.integers(1, 3)),
+                           draw(st.sampled_from(["AP-101", "AP-102", "AP-7"])), **extra))
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=random_records(), overload_threshold=st.integers(0, 3))
+def test_describe_matches_plain_loops_on_random_records(records, overload_threshold):
+    assert_describe_matches_oracle(records, overload_threshold)

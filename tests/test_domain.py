@@ -25,6 +25,7 @@ from wlantel.domain import (
     FieldOutOfRange,
     Protocol,
     Recommendation,
+    RecordTable,
     Action,
     Severity,
     SessionRecord,
@@ -314,7 +315,8 @@ def test_validate_accepts_all_well_formed_records(raw):
     # Serialization round-trips to an equal record.
     assert validate(record.to_json_dict()) == record
     # The digest's canonical line is the record's sorted-key JSON.
-    assert record.canonical_line() == json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
+    assert "".join(RecordTable.from_records([record]).canonical_lines()) == \
+        json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from datetime import datetime
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,16 @@ from hypothesis import strategies as st
 from test_acceptance import RAW_MAC
 
 from wlantel import ingest
-from wlantel.domain import DEVICE_ID_RE, MAC_RE
+from wlantel.domain import (
+    DEVICE_ID_RE,
+    MAC_RE,
+    PAYLOAD_FIELDS,
+    EventKind,
+    Protocol,
+    ValidationError,
+    as_table,
+    validate,
+)
 from wlantel.ingest import (
     SALT_ENV_VAR,
     IngestError,
@@ -195,9 +206,9 @@ class TestParseCsv:
         from_jsonl, jsonl_stats = ingest_stream(io.StringIO(twin), salt)
         from_csv, stats = ingest_stream(io.StringIO(text), salt, format="csv")
         assert stats.errors == jsonl_stats.errors == {"blank_line": 1}
-        assert from_csv == from_jsonl and len(from_csv) == 1
+        assert list(from_csv) == list(from_jsonl) and len(from_csv) == 1
         strict_csv, _ = ingest_stream(io.StringIO(text), salt, format="csv", strict=True)
-        assert strict_csv == from_jsonl
+        assert list(strict_csv) == list(from_jsonl)
 
     def test_every_kind_ingests_as_its_jsonl_twin(self, salt):
         rows = [
@@ -220,7 +231,7 @@ class TestParseCsv:
         from_jsonl, _ = ingest_stream(jsonl(*rows), salt)
         assert stats.accepted == 5
         assert {r.kind.value for r in from_csv} == {r["kind"] for r in rows}
-        assert from_csv == from_jsonl
+        assert list(from_csv) == list(from_jsonl)
 
 
 class TestIngestStream:
@@ -335,13 +346,14 @@ class TestIngestFile:
     def test_format_inferred_from_extension(self, tmp_path, salt):
         path = tmp_path / "trace.csv"
         path.write_text(TestParseCsv.CSV)
-        records, stats = ingest_file(str(path), salt)
-        assert stats.accepted == 2
+        stats = IngestStats()
+        records = as_table(ingest_file(str(path), salt, stats=stats))
+        assert stats.accepted == len(records) == 2
 
     def test_jsonl_default(self, tmp_path, salt):
         path = tmp_path / "trace.jsonl"
         path.write_text(json.dumps(assoc()) + "\n")
-        records, _ = ingest_file(str(path), salt)
+        records = as_table(ingest_file(str(path), salt))
         assert len(records) == 1
 
 
@@ -352,3 +364,177 @@ def test_anonymization_never_emits_mac_shaped_output(octets):
     device = anonymize_device(mac, Salt(b"fixed-salt-16byt"))
     assert DEVICE_ID_RE.match(device.value)
     assert mac not in device.value
+
+
+# -- the column path against one row at a time --------------------------------
+
+def reference_parse(text, strict, stats):
+    """JSONL parsing one line at a time, as ingest did before it decoded
+    lines in chunks."""
+    for line_no, line in enumerate(io.StringIO(text), start=1):
+        stats.lines_read += 1
+        line = line.strip()
+        if not line:
+            stats.record_error("blank_line")
+            continue
+        try:
+            raw = json.loads(line)
+        except (ValueError, RecursionError) as e:
+            reference_reject(stats, strict, line_no, "invalid_json", f"invalid JSON: {e}")
+            continue
+        if not isinstance(raw, dict):
+            reference_reject(stats, strict, line_no, "not_an_object", "line is not a JSON object")
+            continue
+        yield line_no, raw
+
+
+def reference_reject(stats, strict, line_no, reason, message):
+    if strict:
+        raise MalformedLine(line_no, message)
+    stats.record_error(reason)
+
+
+def reference_records(pairs, salt, strict, pre_anonymized, stats):
+    """A plain loop of `validate` over the rows, anonymizing raw MACs first."""
+    records = []
+    for line_no, raw in pairs:
+        device = raw.get("device")
+        raw_mac = isinstance(device, str) and not DEVICE_ID_RE.match(device)
+        if raw_mac and pre_anonymized:
+            reference_reject(stats, strict, line_no, "bad_device_id",
+                             f"expected pre-anonymized device id, got {device!r}")
+            continue
+        try:
+            if raw_mac:
+                if salt is None:
+                    raise IngestError("a salt is required to anonymize raw MACs")
+                raw = dict(raw, device=anonymize_device(device, salt))
+            record = validate(raw)
+        except (InvalidMacFormat, ValidationError) as e:
+            reason = "invalid_mac" if isinstance(e, InvalidMacFormat) else type(e).__name__
+            reference_reject(stats, strict, line_no, reason, str(e))
+            continue
+        stats.accepted += 1
+        records.append(record)
+    return records
+
+
+def outcome(run):
+    """What an ingest gives: its records and counts, or the error it raised."""
+    try:
+        records, stats = run()
+    except IngestError as e:
+        return type(e).__name__, str(e)
+    return list(records), stats.to_json_dict()
+
+
+MACS = ("aa:bb:cc:dd:ee:ff", "02:00:00:00:00:01", "06:00:00:00:00:02")
+PLAIN_TS = st.builds(
+    lambda t, fraction: t.strftime("%Y-%m-%dT%H:%M:%S") + (f".{t.microsecond:06d}" if fraction else "") + "Z",
+    st.datetimes(min_value=datetime(2025, 3, 1), max_value=datetime(2025, 3, 20)), st.booleans())
+ODD_TS = st.sampled_from([
+    "2025-03-03T15:00:00+00:00", "2025-03-03T15:00:00", "2025-03-03T15:00:00z",
+    "2025-03-03T15:00:00.123456z", "0001-01-01T01:00:00Z", "0001-01-01T05:00:00Z",
+    "9999-12-29T23:59:59Z", "9999-12-31T23:59:59Z", "2025-02-29T00:00:00Z",
+    "2024-02-29T10:00:00Z", "2025-03-03T24:00:00Z", "2025-03-03T15:00:60Z",
+    "2025-03-03T15:00:00.5Z", "0000-01-01T00:00:00Z", "2025-03-03 15:00:00Z", "",
+    "2025-03-03T15:00:00Z\x00", 1741014000, None])
+ODD_VALUES = st.sampled_from([
+    True, False, "12.5", "abc", -1, -0.0, 0, float("nan"), float("inf"), 10**30, 2**63 - 1,
+    2**63, 10**400, 1440.0, 1440.5, 100.0, 100.5, "dns", "DNS", "bogus", [1], {"a": 1}, None])
+PLAIN_VALUES = {
+    "session_minutes": st.one_of(st.floats(0, 1440), st.integers(0, 1440)),
+    "bytes_up": st.integers(0, 10**12), "bytes_down": st.integers(0, 10**12),
+    "proto": st.sampled_from([p.value for p in Protocol]),
+    "latency_ms": st.one_of(st.floats(0, 1e6), st.integers(0, 10**6)),
+    "loss_pct": st.floats(0, 100),
+}
+PAYLOAD_NAMES = tuple(PLAIN_VALUES)
+
+
+@st.composite
+def raw_rows(draw):
+    """Plain rows, or rows with one or two fields odd: of another type or
+    form, out of range, inapplicable to the kind, or absent."""
+    odd = set(draw(st.lists(st.sampled_from(
+        ["ts", "device", "ap", "kind", "payload", "inapplicable", "absent"]), max_size=2)))
+    kind = draw(st.sampled_from([k.value for k in EventKind]))
+    row = {
+        "ts": draw(ODD_TS if "ts" in odd else PLAIN_TS),
+        "device": draw(st.sampled_from(["zz:zz", "AB" * 16, "", 5, None, MACS[0] + "\n"])
+                       if "device" in odd else st.one_of(
+                           st.sampled_from(MACS), st.sampled_from(MACS).map(str.upper),
+                           st.sampled_from(["ab" * 16, "0f" * 16]))),
+        "ap": draw(st.sampled_from(["ap-1", "AP-", "AP-1 ", 101, None])
+                   if "ap" in odd else st.sampled_from(["AP-101", "AP-7", "AP-0042"])),
+        "kind": draw(st.sampled_from(["bogus", "ASSOC", 3, None])) if "kind" in odd else kind,
+    }
+    fields = [name for name, _, _ in PAYLOAD_FIELDS[EventKind(kind)]]
+    for name in fields:
+        row[name] = draw(PLAIN_VALUES[name])
+    if "payload" in odd and fields:
+        row[draw(st.sampled_from(fields))] = draw(ODD_VALUES)
+    if "inapplicable" in odd:
+        row[draw(st.sampled_from(PAYLOAD_NAMES))] = draw(st.one_of(st.none(), ODD_VALUES))
+    if "absent" in odd:
+        row.pop(draw(st.sampled_from(sorted(row))))
+    return row
+
+
+@st.composite
+def jsonl_traces(draw):
+    """JSONL lines of raw rows, with blank lines and at most one line that
+    does not decode."""
+    lines = [json.dumps(row) for row in draw(st.lists(raw_rows(), max_size=14))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   "])))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(['{"ts": "2025', "not json", "[1, 2]", '"x"',
+                                           '{"kind": "assoc"},{"kind": "assoc"}'])))
+    return "".join(line + "\n" for line in lines)
+
+
+INGEST_SALT = Salt.from_hex("000102030405060708090a0b0c0d0e0f")
+INGEST_MODES = st.sampled_from([(INGEST_SALT, False), (INGEST_SALT, True), (None, True),
+                                (None, False)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=jsonl_traces(), mode=INGEST_MODES, strict=st.booleans())
+def test_jsonl_column_path_matches_validating_each_row(text, mode, strict):
+    salt, pre_anonymized = mode
+
+    def reference():
+        stats = IngestStats()
+        pairs = reference_parse(text, strict, stats)
+        return reference_records(pairs, salt, strict, pre_anonymized, stats), stats
+
+    with mock.patch.object(ingest, "CHUNK_LINES", 4):
+        got = outcome(lambda: ingest_stream(io.StringIO(text), salt, strict=strict,
+                                            pre_anonymized=pre_anonymized))
+    assert got == outcome(reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(raw_rows(), max_size=14), mode=INGEST_MODES, strict=st.booleans())
+def test_csv_column_path_matches_validating_each_row(rows, mode, strict):
+    salt, pre_anonymized = mode
+    columns = ["ts", "device", "ap", "kind", *PAYLOAD_NAMES]
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["" if row.get(c) is None else row[c] for c in columns])
+
+    def reference():
+        stats = IngestStats()
+        pairs = parse_session_log(io.StringIO(text.getvalue()), format="csv",
+                                  strict=strict, stats=stats)
+        return reference_records(pairs, salt, strict, pre_anonymized, stats), stats
+
+    with mock.patch.object(ingest, "CHUNK_LINES", 4):
+        got = outcome(lambda: ingest_stream(io.StringIO(text.getvalue()), salt,
+                                            format="csv", strict=strict,
+                                            pre_anonymized=pre_anonymized))
+    assert got == outcome(reference)

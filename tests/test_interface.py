@@ -262,6 +262,10 @@ def _devices_without_salt(t):
             _file(t, "labels.json", json.dumps(labels))]
 
 
+def _devices_not_strings(t, captured):
+    assert "devices must be a list of strings" in captured.err
+
+
 # case -> (argv builder, expected exit code, check on the output or None)
 EXIT_CASES = {
     **{f"ingest-{n}": (lambda t, n=n: _ingest(t, _with_bad_lines(t, n)), 0, _ingest_skipped_one)
@@ -280,6 +284,14 @@ EXIT_CASES = {
             t, "labels.json", '{"injections": [{"day": "nope", "type": "auth_burst"}]}')],
         1, None),
     "labels-devices-no-salt": (_devices_without_salt, 1, None),
+    **{f"labels-devices-{name}": (
+        lambda t, devices=devices: ["evaluate", "--run", t.run, "--salt-file", t.salt,
+                                    "--labels", _file(t, "labels.json", json.dumps(
+                                        {"injections": [{"day": "2025-03-04",
+                                                         "type": "duplicate_device",
+                                                         "devices": devices}]}))],
+        1, _devices_not_strings)
+       for name, devices in (("not-strings", [5]), ("a-string", "06:00:00:00:00:01"))},
     "bug-in-stage": (_bug_in_stage, 2, _internal_error),
     "salt-not-hex": (
         lambda t: ["ingest", "--in", str(t.trace), "--salt-file", _file(t, "zz.hex", "zz")],

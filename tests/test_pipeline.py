@@ -22,6 +22,7 @@ from wlantel.domain import (
     Detector,
     EventKind,
     Severity,
+    as_table,
     validate,
 )
 from wlantel.ingest import Salt, anonymize_device, ingest_records
@@ -47,7 +48,7 @@ class TestRunPipeline:
         assert month_run.ap_stats
         assert month_run.anomalies
         assert month_run.recommendations
-        assert set(month_run.timings) == {"digest", "descriptive",
+        assert set(month_run.timings) == {"ingest", "digest", "descriptive",
                                           "detection", "prescriptive"}
 
     def test_anomalies_sorted_and_classified(self, month_run):
@@ -75,7 +76,7 @@ class TestRunPipeline:
             SimConfig(days=7, weekday_users=200.0, weekend_users=150.0,
                       device_pool=600, ap_count=15, auth_fail_mean=10.0),
             seed=1)
-        records = list(ingest_records(enumerate(raw), salt))
+        records = list(as_table(ingest_records(enumerate(raw), salt)))
         short = [r for r in records
                  if r.local_day() < min(x.local_day() for x in records)
                  + timedelta(days=5)]

@@ -7,7 +7,7 @@ from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
-from wlantel.descriptive import device_overlaps, group_by_day, pair_sessions
+from wlantel.descriptive import device_overlaps, pair_sessions
 from wlantel.detection.classify import classify
 from wlantel.detection.features import FEATURE_METRICS, build_features
 from wlantel.detection.rules import (
@@ -21,6 +21,7 @@ from wlantel.domain import (
     DailyAggregate,
     Detector,
     Protocol,
+    RecordTable,
     Severity,
     validate,
 )
@@ -49,7 +50,7 @@ def session(device, ap, start_h, end_h, day=DAY):
 
 
 def detect(records, **kwargs):
-    sessions = pair_sessions(group_by_day(records))
+    sessions = pair_sessions(RecordTable.from_records(records))
     return detect_duplicate_devices(device_overlaps(sessions), **kwargs)
 
 
