@@ -181,7 +181,7 @@ def _cmd_run(args) -> int:
     run = run_pipeline(_ingest(args, stats), _pipeline_config(args))
     save_run(run, args.out, ingest=stats.to_json_dict())
     if not args.quiet:
-        print(f"run {run.run_id}: {stats.accepted} records, "
+        print(f"run {run.manifest['run_id']}: {stats.accepted} records, "
               f"{len(run.anomalies)} anomalies, "
               f"{len(run.recommendations)} recommendations -> {args.out}",
               file=sys.stderr)
@@ -189,10 +189,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    stored = load_run(args.run)
+    run = load_run(args.run)
     with open(args.labels, "r", encoding="utf-8") as fh:
         truth = GroundTruth.from_json_dict(json.load(fh))
-    print(json.dumps(evaluate(stored.anomalies, truth, salt=_load_salt(args)),
+    print(json.dumps(evaluate(run.anomalies, truth, salt=_load_salt(args)),
                      indent=2, sort_keys=True))
     return 0
 

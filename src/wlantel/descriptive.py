@@ -127,9 +127,6 @@ class HourlyProfile:
         if len(self.buckets) != 24 or any(b < 0 for b in self.buckets):
             raise ValueError("hourly profile needs 24 non-negative buckets")
 
-    def argmax(self) -> int:
-        return max(range(24), key=lambda h: self.buckets[h])
-
 
 @dataclass(frozen=True)
 class Description:

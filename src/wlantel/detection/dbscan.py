@@ -61,18 +61,3 @@ def dbscan(points: Sequence[Sequence[float]], eps: float = DEFAULT_EPS,
         cluster += 1
     return labels
 
-
-def partition(labels: Sequence[int]) -> tuple[frozenset, frozenset]:
-    """Canonical form of a labeling: ({cluster index sets}, noise set).
-
-    Invariant under cluster relabeling, so two labelings compare equal iff
-    they induce the same partition.
-    """
-    clusters: dict = {}
-    noise = set()
-    for i, lab in enumerate(labels):
-        if lab == NOISE:
-            noise.add(i)
-        else:
-            clusters.setdefault(lab, set()).add(i)
-    return frozenset(frozenset(c) for c in clusters.values()), frozenset(noise)

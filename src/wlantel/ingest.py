@@ -20,8 +20,9 @@ import hmac
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 import numpy as np
@@ -141,8 +142,10 @@ def parse_session_log(stream: TextIO, format: str = "jsonl",
     """Stream (line_no, raw record dict) pairs from a log export.
 
     Malformed lines raise MalformedLine when strict, otherwise they are
-    counted in ``stats`` and skipped.  Memory use is bounded regardless of
-    file size.
+    counted in ``stats`` and skipped.  A line holding a byte that is not
+    UTF-8, which ``errors="surrogateescape"`` reads as a lone surrogate,
+    raises MalformedLine in either mode.  Memory use is bounded regardless
+    of file size.
     """
     stats = IngestStats() if stats is None else stats
     if format == "jsonl":
@@ -164,8 +167,7 @@ def _reject(stats: IngestStats, strict: bool, line_no: int, reason: str,
 
 def _parse_jsonl(stream, strict, stats):
     line_no = 0
-    while True:
-        block, error = _read_block(stream)
+    for block in _blocks(stream):
         stats.lines_read += len(block)
         stripped = [line.strip() for line in block]
         texts = [text for text in stripped if text]
@@ -178,22 +180,30 @@ def _parse_jsonl(stream, strict, stats):
             yield from zip(numbers, rows)
         else:
             yield from _decode_lines(numbers, texts, strict, stats)
-        if error is not None:
-            raise error
+
+
+# What surrogateescape decoding makes of a byte that is not UTF-8.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _blocks(stream) -> Iterator[list]:
+    """The lines of ``stream`` in blocks of CHUNK_LINES.  A line holding a
+    byte that is not UTF-8 ends them: the lines before it come as one more
+    block, and then MalformedLine names it."""
+    line_no = 0
+    while True:
+        block = list(islice(stream, CHUNK_LINES))
+        if not all(map(str.isascii, block)):
+            for i, line in enumerate(block):
+                escaped = _ESCAPED_BYTE.search(line)
+                if escaped is not None:
+                    yield block[:i]
+                    raise MalformedLine(line_no + i + 1, "not UTF-8: byte "
+                                        f"0x{ord(escaped.group()) - 0xDC00:02x}")
+        yield block
         if len(block) < CHUNK_LINES:
             return
-
-
-def _read_block(stream) -> tuple[list, Optional[UnicodeDecodeError]]:
-    """The next CHUNK_LINES lines of ``stream`` and the decode error that
-    ended the block early, if one did: it is raised after the lines read
-    before it are parsed, as when reading line by line."""
-    block: list = []
-    try:
-        block.extend(islice(stream, CHUNK_LINES))
-    except UnicodeDecodeError as e:
-        return block, e
-    return block, None
+        line_no += len(block)
 
 
 def _decode_block(texts: list) -> Optional[list]:
@@ -253,7 +263,7 @@ def _csv_rows(reader):
 
 
 def _parse_csv(stream, strict, stats):
-    reader = csv.reader(stream)
+    reader = csv.reader(chain.from_iterable(_blocks(stream)))
     try:
         header = next(reader, [])
     except csv.Error as e:  # without its header no row can be read
@@ -296,7 +306,7 @@ def ingest_records(raw_records: Iterable[tuple[int, dict]], salt: Optional[Salt]
         batch: list = []
         try:
             batch.extend(islice(rows, CHUNK_LINES))
-        except (MalformedLine, UnicodeDecodeError):
+        except MalformedLine:
             chunks.table(batch)  # a bad line before the one parsing stopped at comes first
             raise
         if batch:
@@ -547,6 +557,8 @@ def ingest_file(path: str, salt: Optional[Salt], strict: bool = False,
     if format is None:
         format = "csv" if str(path).endswith(".csv") else "jsonl"
     stats = IngestStats() if stats is None else stats
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 is read as a lone surrogate, so that parsing
+    # can name its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         yield from ingest_records(parse_session_log(fh, format=format, strict=strict, stats=stats),
                                   salt, strict=strict, pre_anonymized=pre_anonymized, stats=stats)

@@ -1,6 +1,6 @@
-"""Orchestration: ingest -> descriptive -> detection -> prescriptive, sealed
-into one immutable AnalysisRun, plus the precision/recall evaluation of a
-run against simulator ground truth.
+"""Orchestration: ingest -> descriptive -> detection -> prescriptive, into
+one Run that holds the run directory's payloads as they are written, plus
+the precision/recall evaluation of a run against simulator ground truth.
 
 A run is reproducible: identical (input digest, config, seeds) produce
 identical artifacts; only the run id and wall-clock fields differ.
@@ -12,8 +12,8 @@ import hashlib
 import json
 import time
 import uuid
-from collections import defaultdict
-from dataclasses import asdict, dataclass
+from collections import Counter, defaultdict
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -62,24 +62,23 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class AnalysisRun:
-    run_id: str
-    created: str
-    input_digest: str
-    config: PipelineConfig
-    aggregates: tuple
-    baseline: BaselineProfile
-    ap_stats: tuple
-    hourly_profile: tuple
-    anomalies: tuple
-    recommendations: tuple
-    timings: dict
+class Run:
+    """A run as its directory holds it: the manifest and each artifact's
+    JSON payload, field ``name`` being the file ``name.json``.
+    `run_pipeline` builds one and `load_run` reads one back."""
 
-    def daily_anomaly_counts(self) -> dict:
-        counts: dict = defaultdict(int)
-        for e in self.anomalies:
-            counts[e.day] += 1
-        return {a.day: counts.get(a.day, 0) for a in self.aggregates}
+    manifest: dict
+    aggregates: list
+    baseline: dict
+    ap_stats: list
+    hourly_profile: list
+    anomalies: list
+    recommendations: list
+    daily_anomaly_counts: dict
+
+
+# Each run file and the Run field holding its payload.
+RUN_FILES = {f"{f.name}.json": f.name for f in fields(Run)}
 
 
 def input_digest(records) -> str:
@@ -91,7 +90,7 @@ def input_digest(records) -> str:
     return h.hexdigest()
 
 
-def run_pipeline(records, config: PipelineConfig = PipelineConfig()) -> AnalysisRun:
+def run_pipeline(records, config: PipelineConfig = PipelineConfig()) -> Run:
     """The whole analysis of ``records``: a RecordTable or anything
     `as_table` takes.  Given ingest's chunks as they are read, the "ingest"
     stage times the whole ingest; given a table, only the joining."""
@@ -161,50 +160,41 @@ def run_pipeline(records, config: PipelineConfig = PipelineConfig()) -> Analysis
 
     recommendations = staged("prescriptive", _prescriptive)
 
-    return AnalysisRun(
-        run_id=str(uuid.uuid4()),
-        created=datetime.now(timezone.utc).isoformat(),
-        input_digest=digest,
-        config=config,
-        aggregates=aggregates,
-        baseline=baseline,
-        ap_stats=desc.ap_stats,
-        hourly_profile=desc.hourly.buckets,
-        anomalies=tuple(sorted(anomalies, key=lambda e: (
-            e.day, e.type.value, e.detector.value, e.device or "", e.ap or ""))),
-        recommendations=tuple(recommendations),
-        timings=timings,
-    )
+    del table  # build the payloads with the record table released
+    anomalies = sorted(anomalies, key=lambda e: (
+        e.day, e.type.value, e.detector.value, e.device or "", e.ap or ""))
+    event_index = {id(e): i for i, e in enumerate(anomalies)}
+    counts = Counter(e.day for e in anomalies)
+    artifacts = {
+        **descriptive_artifacts(aggregates, baseline, desc.ap_stats, desc.hourly.buckets),
+        "anomalies.json": [e.to_json_dict() for e in anomalies],
+        "recommendations.json": [r.to_json_dict(event_index) for r in recommendations],
+        "daily_anomaly_counts.json": {a.day.isoformat(): counts[a.day] for a in aggregates},
+    }
+    return Run(**{RUN_FILES[name]: payload for name, payload in artifacts.items()}, manifest={
+        "run_id": str(uuid.uuid4()),
+        "version": __version__,
+        "created": datetime.now(timezone.utc).isoformat(),
+        "input_digest": digest,
+        "digest_algorithm": DIGEST_ALGORITHM,
+        "config": config.to_json_dict(),
+        "timings": timings,
+        "ingest": None,
+        "artifacts": sorted(artifacts),
+    })
 
 
-def save_run(run: AnalysisRun, rundir: str, ingest: Optional[dict] = None) -> None:
-    """Persist a run as a directory of JSON artifacts plus a manifest.
+def save_run(run: Run, rundir: str, ingest: Optional[dict] = None) -> None:
+    """Write ``run`` into ``rundir``, one file per `RUN_FILES` entry, with
+    ``ingest`` (the ingest's accept/skip counts, `IngestStats.to_json_dict`)
+    in the manifest.
 
     Every file except the manifest is a pure function of (input, config),
-    so reruns byte-match; run id, creation time, timings, and the ingest's
-    accept/skip counts (``ingest``, `IngestStats.to_json_dict`) live only
-    in the manifest.
+    so reruns byte-match; run id, creation time, timings, and the ingest
+    counts live only in the manifest.
     """
-    event_index = {id(e): i for i, e in enumerate(run.anomalies)}
-    artifacts = {
-        **descriptive_artifacts(run.aggregates, run.baseline, run.ap_stats,
-                                run.hourly_profile),
-        "anomalies.json": [e.to_json_dict() for e in run.anomalies],
-        "recommendations.json": [r.to_json_dict(event_index) for r in run.recommendations],
-        "daily_anomaly_counts.json": {d.isoformat(): c
-                                      for d, c in run.daily_anomaly_counts().items()},
-    }
-    write_artifacts(rundir, {**artifacts, "manifest.json": {
-        "run_id": run.run_id,
-        "version": __version__,
-        "created": run.created,
-        "input_digest": run.input_digest,
-        "digest_algorithm": DIGEST_ALGORITHM,
-        "config": run.config.to_json_dict(),
-        "timings": run.timings,
-        "ingest": ingest,
-        "artifacts": sorted(artifacts),
-    }})
+    payloads = {name: getattr(run, field) for name, field in RUN_FILES.items()}
+    write_artifacts(rundir, {**payloads, "manifest.json": {**run.manifest, "ingest": ingest}})
 
 
 def descriptive_artifacts(aggregates: Sequence[DailyAggregate],
@@ -231,37 +221,14 @@ def write_artifacts(rundir: str, artifacts: dict) -> None:
             fh.write("\n")
 
 
-@dataclass(frozen=True)
-class StoredRun:
-    """Read-back view of a persisted run directory (plain JSON payloads)."""
-
-    manifest: dict
-    aggregates: list
-    baseline: dict
-    ap_stats: list
-    hourly_profile: list
-    anomalies: list
-    recommendations: list
-    daily_anomaly_counts: dict
-
-
-def load_run(rundir: str) -> StoredRun:
+def load_run(rundir: str) -> Run:
     out = Path(rundir)
 
     def read(name):
         with open(out / name, "r", encoding="utf-8") as fh:
             return json.load(fh)
 
-    return StoredRun(
-        manifest=read("manifest.json"),
-        aggregates=read("aggregates.json"),
-        baseline=read("baseline.json"),
-        ap_stats=read("ap_stats.json"),
-        hourly_profile=read("hourly_profile.json"),
-        anomalies=read("anomalies.json"),
-        recommendations=read("recommendations.json"),
-        daily_anomaly_counts=read("daily_anomaly_counts.json"),
-    )
+    return Run(**{field: read(name) for name, field in RUN_FILES.items()})
 
 
 def evaluate(anomalies: Sequence[dict], ground_truth: GroundTruth,
@@ -269,7 +236,7 @@ def evaluate(anomalies: Sequence[dict], ground_truth: GroundTruth,
     """Precision/recall per anomaly type at day granularity, as the document
     `wlantel evaluate` prints: ``{"per_type": {type: row}, "overall_recall"}``.
 
-    ``anomalies`` are a run's anomalies.json rows (`StoredRun.anomalies`).
+    ``anomalies`` are a run's anomalies.json rows (`Run.anomalies`).
     An injection counts detected iff some event of its type falls on the
     same day; device/AP-scoped events must additionally name an injected
     device/AP.  Ground-truth devices are raw MACs, so labels that name

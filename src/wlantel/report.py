@@ -13,7 +13,7 @@ import json
 import statistics
 from pathlib import Path
 
-from .pipeline import StoredRun
+from .pipeline import Run
 
 METRICS_CSV_HEADER = ("Métrica", "Promedio Diario", "Valor Mínimo", "Valor Máximo")
 AP_CSV_HEADER = ("ID del AP", "Conexiones Mensuales", "Latencia Promedio (ms)",
@@ -25,7 +25,7 @@ def _series_row(label: str, values, digits: int = 1) -> list:
     return [label, fmt(statistics.fmean(values)), fmt(min(values)), fmt(max(values))]
 
 
-def metrics_table(run: StoredRun) -> list[list]:
+def metrics_table(run: Run) -> list[list]:
     aggs = run.aggregates
     counts = [run.daily_anomaly_counts[a["day"]] for a in aggs]
     return [
@@ -43,7 +43,7 @@ def metrics_table(run: StoredRun) -> list[list]:
     ]
 
 
-def ap_table(run: StoredRun) -> list[list]:
+def ap_table(run: Run) -> list[list]:
     rows = []
     for s in run.ap_stats:  # already sorted by monthly connections desc
         rows.append([
@@ -55,7 +55,7 @@ def ap_table(run: StoredRun) -> list[list]:
     return rows
 
 
-def render_report(run: StoredRun, outdir: str) -> list[str]:
+def render_report(run: Run, outdir: str) -> list[str]:
     """Write report.json, metrics_table.csv, ap_table.csv, and report.html;
     returns the written paths."""
     out = Path(outdir)
@@ -103,7 +103,7 @@ def _html_table(header, rows) -> str:
     return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
-def _render_html(run: StoredRun) -> str:
+def _render_html(run: Run) -> str:
     daily_rows = [
         [a["day"], a["connections"], round(a["traffic_gb"], 1),
          a["auth_failures"], round(a["overload_pct"], 1),

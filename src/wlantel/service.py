@@ -14,10 +14,10 @@ from urllib.parse import urlsplit
 
 from .domain import InputError
 # bench/tracer.py patches load_run here as well, so the name must stay.
-from .pipeline import StoredRun, load_run  # noqa: F401
+from .pipeline import Run, load_run  # noqa: F401
 
 
-def metrics_exposition(run: StoredRun) -> str:
+def metrics_exposition(run: Run) -> str:
     """`name{label="v"} value` lines for the current aggregates and
     anomaly counters."""
     lines = []
@@ -64,7 +64,7 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # keep the data/diagnostic streams clean
 
 
-def make_server(snapshot: StoredRun, addr: str = "127.0.0.1:8080") -> ThreadingHTTPServer:
+def make_server(snapshot: Run, addr: str = "127.0.0.1:8080") -> ThreadingHTTPServer:
     host, _, port_text = addr.rpartition(":")
     try:
         port = int(port_text)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlantel.detection.dbscan import NOISE, dbscan, partition
+from wlantel.detection.dbscan import NOISE, dbscan
 
 
 def naive_dbscan(points, eps, min_pts):
@@ -60,6 +60,22 @@ def naive_dbscan(points, eps, min_pts):
         if candidate:
             labels[i] = min(candidate)
     return labels
+
+
+def partition(labels) -> tuple[frozenset, frozenset]:
+    """Canonical form of a labeling: ({cluster index sets}, noise set).
+
+    Invariant under cluster relabeling, so two labelings compare equal iff
+    they induce the same partition.
+    """
+    clusters: dict = {}
+    noise = set()
+    for i, lab in enumerate(labels):
+        if lab == NOISE:
+            noise.add(i)
+        else:
+            clusters.setdefault(lab, set()).add(i)
+    return frozenset(frozenset(c) for c in clusters.values()), frozenset(noise)
 
 
 def random_instance(rng):

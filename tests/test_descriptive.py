@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from wlantel import descriptive
 from wlantel.descriptive import (
     DeviceDay,
-    HourlyProfile,
     InsufficientData,
     aggregate_daily,
     ap_day_peaks,
@@ -259,10 +258,6 @@ class TestHourlyProfile:
                    + session(1, "AP-101", 20, 21, day=DAY + timedelta(days=1)))
         profile = hourly_of(records)
         assert profile.buckets[10] == pytest.approx(0.5)
-
-    def test_argmax(self):
-        assert HourlyProfile(buckets=tuple(
-            1.0 if h == 11 else 0.0 for h in range(24))).argmax() == 11
 
     def test_empty_records(self):
         assert hourly_of([]).buckets == (0.0,) * 24

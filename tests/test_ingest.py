@@ -356,6 +356,28 @@ class TestIngestFile:
         records = as_table(ingest_file(str(path), salt))
         assert len(records) == 1
 
+    # Line 2 has an unknown kind; line 3 holds the byte 0xe9.
+    NON_UTF8 = {
+        "trace.jsonl": json.dumps(assoc()) + "\n" + json.dumps(dict(assoc(), kind="bogus"))
+        + '\n{"ap": "AP-\udce9"}\n',
+        "trace.csv": f"ts,device,ap,kind\n2025-03-03T15:00:00Z,{MAC},AP-101,bogus\n"
+        f"2025-03-03T16:00:00Z,{MAC},AP-\udce9,assoc\n",
+    }
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("name", sorted(NON_UTF8))
+    def test_non_utf8_line_is_named_after_earlier_bad_lines(self, tmp_path, salt, name, strict):
+        path = tmp_path / name
+        path.write_bytes(self.NON_UTF8[name].encode("utf-8", "surrogateescape"))
+        stats = IngestStats()
+        with pytest.raises(MalformedLine) as exc:
+            as_table(ingest_file(str(path), salt, strict=strict, stats=stats))
+        if strict:
+            assert str(exc.value) == "line 2: kind: unknown event kind 'bogus'"
+        else:
+            assert str(exc.value) == "line 3: not UTF-8: byte 0xe9"
+            assert stats.errors == {"UnknownEventKind": 1}
+
 
 @settings(max_examples=50, deadline=None)
 @given(octets=st.lists(st.integers(0, 255), min_size=6, max_size=6))

@@ -262,6 +262,11 @@ def _devices_without_salt(t):
             _file(t, "labels.json", json.dumps(labels))]
 
 
+def _names_line_after_trace(t, captured):
+    n_lines = len(t.trace.read_text(encoding="utf-8").splitlines())
+    assert f"line {n_lines + 1}: not UTF-8: byte 0xe9" in captured.err
+
+
 def _devices_not_strings(t, captured):
     assert "devices must be a list of strings" in captured.err
 
@@ -307,7 +312,7 @@ EXIT_CASES = {
     "non-utf8-line": (
         lambda t: _ingest(t, _file(t, "latin1.jsonl",
                                    t.trace.read_bytes() + b'{"ap": "AP-\xe9"}\n')),
-        1, None),
+        1, _names_line_after_trace),
     "missing-in": (lambda t: _ingest(t, str(t.tmp / "missing.jsonl")), 1, None),
     "in-directory": (lambda t: _ingest(t, str(t.tmp)), 1, None),
     "run-not-a-directory": (
