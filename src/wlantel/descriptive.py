@@ -14,14 +14,15 @@ every device-day's overlaps (the duplicate counts and the device rules in
 Everything here is a pure function of the table's rows, so evaluation
 order cannot change results.  Sums keep the order of the record loop they
 replace: session minutes add up in record order, and health means are
-`math.fsum` means, as `statistics.fmean` is.
+`math.fsum` means.  The baseline's means and standard deviations come
+from exact sums (`exact`), so they do not depend on the interpreter's
+`statistics` module, and leaving one day out of them costs O(1).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
@@ -29,6 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import exact
 from .domain import (
     BASELINE_METRICS,
     GIGABYTE,
@@ -435,34 +437,65 @@ def hourly_profile(sessions: Sessions, days: Sequence[date]) -> HourlyProfile:
 
 
 def build_baseline(aggregates: Sequence[DailyAggregate]) -> BaselineProfile:
-    """Per-day-of-week mean/std of every metric: `slot_stats` of each
-    weekday over the window."""
+    """Per-day-of-week mean/std of every metric, by the slot rule (see
+    `_SlotSums.slot`)."""
     if len(aggregates) < MIN_BASELINE_DAYS:
         raise InsufficientData(
             f"need at least {MIN_BASELINE_DAYS} days, got {len(aggregates)}")
 
-    ordered = sorted(aggregates, key=lambda a: a.day)
-    slots, fallback = zip(*(slot_stats(ordered, dow) for dow in range(7)))
+    sums = _SlotSums(aggregates, BASELINE_METRICS)
+    slots, fallback = zip(*(sums.slot(dow) for dow in range(7)))
+    days = [a.day for a in aggregates]
     return BaselineProfile(
         slots=slots,
         fallback=fallback,
-        window_days=len(ordered),
-        built_from=(ordered[0].day, ordered[-1].day),
+        window_days=len(aggregates),
+        built_from=(min(days), max(days)),
     )
 
 
-def slot_stats(aggregates: Sequence[DailyAggregate], dow: int) -> tuple[dict, bool]:
-    """The one day-of-week slot rule: metric -> (mean, std) over the days
-    on weekday ``dow``, or over every day (``fallback`` True) when fewer
-    than MIN_BASELINE_DAYS fall on it."""
-    days = [a for a in aggregates if a.day.weekday() == dow]
-    fallback = len(days) < MIN_BASELINE_DAYS
-    if fallback:
-        days = aggregates
-    return {m: _mean_std([a.metric(m) for a in days]) for m in BASELINE_METRICS}, fallback
+def leave_one_out_stats(aggregates: Sequence[DailyAggregate],
+                        metrics: Sequence[str]) -> list[tuple[dict, bool]]:
+    """For each of ``aggregates``, the slot rule over the other days: each
+    of ``metrics`` -> (mean, std) over the others on its weekday, or over
+    all the others (``fallback`` True) when fewer than MIN_BASELINE_DAYS of
+    them fall on it.  Each day's own terms are taken out of the window's
+    sums, so the whole list costs one pass over the days."""
+    sums = _SlotSums(aggregates, metrics)
+    return [sums.slot(dow, leave_out=i) for i, dow in enumerate(sums.weekdays)]
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return mean, std
+class _SlotSums:
+    """Exact sums (`exact.scaled` ints and their squares) of ``metrics``
+    per weekday and over all of ``aggregates``."""
+
+    def __init__(self, aggregates: Sequence[DailyAggregate], metrics: Sequence[str]):
+        self.weekdays = [a.day.weekday() for a in aggregates]
+        # Index 0-6 is a weekday, index 7 every day.
+        self.counts = [self.weekdays.count(dow) for dow in range(7)] + [len(aggregates)]
+        self.terms: dict = {}  # metric -> (ints, den, [[total, squares]] * 8)
+        for m in metrics:
+            ints, den = exact.scaled([a.metric(m) for a in aggregates])
+            sums = [[0, 0] for _ in range(8)]
+            for x, dow in zip(ints, self.weekdays):
+                for pair in (sums[dow], sums[7]):
+                    pair[0] += x
+                    pair[1] += x * x
+            self.terms[m] = (ints, den, sums)
+
+    def slot(self, dow: int, leave_out: Optional[int] = None) -> tuple[dict, bool]:
+        """The one day-of-week slot rule: metric -> (mean, std) over the
+        days on weekday ``dow``, or over every day (``fallback`` True) when
+        fewer than MIN_BASELINE_DAYS fall on it; without the day at index
+        ``leave_out``, which falls on ``dow``, when one is given."""
+        left = int(leave_out is not None)
+        fallback = self.counts[dow] - left < MIN_BASELINE_DAYS
+        key = 7 if fallback else dow
+        stats = {}
+        for m, (ints, den, sums) in self.terms.items():
+            total, squares = sums[key]
+            if left:
+                total -= ints[leave_out]
+                squares -= ints[leave_out] * ints[leave_out]
+            stats[m] = exact.mean_std(self.counts[key] - left, total, squares, den)
+        return stats, fallback

@@ -10,18 +10,15 @@ documented tie-break.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
+
+import numpy as np
 
 NOISE = -1
 _UNVISITED = -2
 
 DEFAULT_EPS = 3.5  # in feature space, i.e. baseline z-score units
 DEFAULT_MIN_PTS = 4
-
-
-def _distance(a: Sequence[float], b: Sequence[float]) -> float:
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
 def dbscan(points: Sequence[Sequence[float]], eps: float = DEFAULT_EPS,
@@ -33,10 +30,16 @@ def dbscan(points: Sequence[Sequence[float]], eps: float = DEFAULT_EPS,
         raise ValueError("min_pts must be >= 1")
 
     n = len(points)
-    neighbors = [
-        [j for j in range(n) if _distance(points[i], points[j]) <= eps]
-        for i in range(n)
-    ]
+    coords = np.array(points, dtype=float)
+    neighbors = []
+    for i in range(n):
+        # Euclidean distance to every point, one row at a time so memory
+        # stays O(n): squared differences summed in feature order.
+        diff = coords - coords[i]
+        d2 = np.zeros(n)
+        for k in range(diff.shape[1]):
+            d2 += diff[:, k] * diff[:, k]
+        neighbors.append(np.flatnonzero(np.sqrt(d2) <= eps).tolist())
     labels = [_UNVISITED] * n
     cluster = 0
     for i in range(n):

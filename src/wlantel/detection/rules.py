@@ -60,11 +60,15 @@ def detect_duplicate_devices(device_days: Mapping,
     return events
 
 
+# The daily metrics `protocol_anomaly` reads, one per Protocol in order.
+SHARE_METRICS = tuple(f"proto_share_{proto.value}" for proto in Protocol)
+
+
 def protocol_anomaly(aggregate: DailyAggregate, stats: Mapping,
                      k: float = DEFAULT_K) -> list[AnomalyEvent]:
     """z-test each protocol's traffic share against ``stats``, which maps
-    each ``proto_share_<p>`` metric to its baseline (mean, std), as
-    `descriptive.slot_stats` gives it.
+    each of SHARE_METRICS to its baseline (mean, std), as
+    `descriptive.leave_one_out_stats` gives it for the day.
 
     DNS deviations map to DnsAnomaly, others to TrafficSpike.  Days with
     no traffic are skipped (shares undefined).
@@ -72,8 +76,7 @@ def protocol_anomaly(aggregate: DailyAggregate, stats: Mapping,
     if aggregate.traffic_gb <= 0:
         return []
     events = []
-    for proto in Protocol:
-        metric = f"proto_share_{proto.value}"
+    for proto, metric in zip(Protocol, SHARE_METRICS):
         mean, std = stats[metric]
         share = aggregate.metric(metric)
         z = abs(share - mean) / max(std, STD_FLOOR)

@@ -1,13 +1,13 @@
 """Dynamic threshold alerting: rolling mean +/- k*sigma over a sliding
-window of the preceding observations."""
+window of the preceding observations, in O(1) per observation."""
 
 from __future__ import annotations
 
-import statistics
 from datetime import date
 from typing import Sequence
 
 from ..domain import STD_FLOOR, AnomalyEvent, AnomalyType, Detector, InputError
+from ..exact import mean_std, scaled
 
 DEFAULT_WINDOW = 7
 DEFAULT_K = 3.0
@@ -32,10 +32,14 @@ def dynamic_threshold_alerts(series: Sequence[tuple[date, float]],
 
     events = []
     values = [v for _, v in series]
+    # Exact running sums of the window: one value enters, one leaves.
+    ints, den = scaled(values)
+    total, squares = sum(ints[:window]), sum(x * x for x in ints[:window])
     for t in range(window, len(series)):
-        window_vals = values[t - window:t]
-        mu = statistics.fmean(window_vals)
-        sigma = statistics.stdev(window_vals)
+        mu, sigma = mean_std(window, total, squares, den)
+        entering, leaving = ints[t], ints[t - window]
+        total += entering - leaving
+        squares += entering * entering - leaving * leaving
         x = values[t]
         dev = abs(x - mu)
         alert = dev > k * sigma if sigma > 0 else x != mu

@@ -247,31 +247,68 @@ def _decode_lines(numbers, texts, strict, stats):
         yield line_no, raw
 
 
-def _csv_rows(reader):
-    """Each row of ``reader``, or in its place the csv.Error that reading it
-    raised (a cell past the field size limit), with the physical line the
-    row starts on: a quoted cell may span lines.  The reader goes on with
-    the next line after an error."""
+def _csv_rows(lines):
+    """Each CSV record of ``lines`` with the physical line it starts on (a
+    quoted cell may span lines), its cells in a list or in their place the
+    csv.Error that reading it raised (a cell past the field size limit).
+
+    A record that raises is skipped whole: the reader stops mid-cell, so
+    while a quoted cell is open the lines after it still belong to it.
+    """
+    record: list = []  # the lines taken for the record being read
+
+    def taken():
+        for line in lines:
+            record.append(line)
+            yield line
+
+    source = taken()
+    reader = csv.reader(source)
+    line_no = 1
     while True:
-        line_no = reader.line_num + 1
+        line_no += len(record)
+        record.clear()
         try:
             yield line_no, next(reader)
         except StopIteration:
             return
         except csv.Error as e:
+            state = _quote_state("".join(record))
+            while state[0] and (line := next(source, None)) is not None:
+                state = _quote_state(line, state)
             yield line_no, e
 
 
+_PLAIN_RUN = re.compile(r'[^",\r\n]+')
+
+
+def _quote_state(text: str, state: tuple = (False, False, True)) -> tuple:
+    """The csv reader's state after ``text``, from ``state``: (inside a
+    quoted cell, just after the quote that may close one, at a cell's
+    start).  As in the default dialect, a quote opens a quoted cell only as
+    the cell's first character, and "" inside one stands for a quote."""
+    quoted, after_quote, at_start = state
+    # A run of plain characters moves the state as one of them does.
+    for c in _PLAIN_RUN.sub("x", text):
+        if quoted:
+            quoted = c != '"'
+            after_quote = not quoted
+        elif after_quote and c == '"':
+            quoted, after_quote = True, False
+        else:
+            quoted, after_quote, at_start = at_start and c == '"', False, c in ",\r\n"
+    return quoted, after_quote, at_start
+
+
 def _parse_csv(stream, strict, stats):
-    reader = csv.reader(chain.from_iterable(_blocks(stream)))
-    try:
-        header = next(reader, [])
-    except csv.Error as e:  # without its header no row can be read
-        raise MalformedLine(1, f"bad CSV header: {e}") from None
+    rows = _csv_rows(chain.from_iterable(_blocks(stream)))
+    _, header = next(rows, (1, []))
+    if isinstance(header, csv.Error):  # without its header no row can be read
+        raise MalformedLine(1, f"bad CSV header: {header}")
     # A repeated column name maps to its last column, as in a dict.
     index = {name: i for i, name in enumerate(header)}
     columns = [(name, index[name], t) for name, t in _CSV_TYPES.items() if name in index]
-    for line_no, row in _csv_rows(reader):
+    for line_no, row in rows:
         stats.lines_read += 1
         if isinstance(row, csv.Error):
             _reject(stats, strict, line_no, "bad_cell", f"bad cell: {row}")

@@ -24,7 +24,12 @@ from .detection.classify import classify
 from .detection.dbscan import NOISE, dbscan
 from .detection.features import build_features
 from .detection.iforest import fit_isolation_forest, iforest_score
-from .detection.rules import DEFAULT_MAX_CONCURRENT, detect_duplicate_devices, protocol_anomaly
+from .detection.rules import (
+    DEFAULT_MAX_CONCURRENT,
+    SHARE_METRICS,
+    detect_duplicate_devices,
+    protocol_anomaly,
+)
 from .detection.thresholds import DEFAULT_K, DEFAULT_WINDOW, dynamic_threshold_alerts
 from .domain import (
     AnomalyEvent,
@@ -124,9 +129,8 @@ def run_pipeline(records, config: PipelineConfig = PipelineConfig()) -> Run:
         # Protocol-share z-tests compare each day against a profile built
         # without that day: a day skewed enough to alert would otherwise
         # inflate its own slot's variance and mask itself.
-        for i, agg in enumerate(aggregates):
-            others = aggregates[:i] + aggregates[i + 1:]
-            stats, _ = descriptive.slot_stats(others, agg.day.weekday())
+        left_out = descriptive.leave_one_out_stats(aggregates, SHARE_METRICS)
+        for agg, (stats, _) in zip(aggregates, left_out):
             events.extend(protocol_anomaly(agg, stats, k=config.k))
         events.extend(detect_duplicate_devices(desc.device_days, config.max_concurrent))
 

@@ -144,6 +144,20 @@ def test_empty_input():
     assert dbscan([], eps=1.0, min_pts=2) == []
 
 
+def test_neighbor_exactly_at_eps_counts():
+    # Each step is the hypotenuse of a 3-4-5 triangle, exactly eps: inclusive.
+    points = [(0.0, 0.0), (3.0, 4.0), (6.0, 8.0)]
+    assert dbscan(points, eps=5.0, min_pts=2) == [0, 0, 0]
+    assert dbscan(points, eps=math.nextafter(5.0, 0.0), min_pts=2) == [NOISE] * 3
+
+
+def test_point_just_past_eps_is_noise():
+    # The third point is one ulp further than eps from the second.
+    points = [(0.0, 0.0), (3.0, 4.0), (3.0, math.nextafter(9.0, 10.0))]
+    assert math.dist(points[1], points[2]) > 5.0
+    assert dbscan(points, eps=5.0, min_pts=2) == [0, 0, NOISE]
+
+
 points_strategy = st.lists(
     st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
     min_size=1, max_size=25,

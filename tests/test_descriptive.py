@@ -25,9 +25,9 @@ from wlantel.descriptive import (
     describe,
     device_overlaps,
     hourly_profile,
+    leave_one_out_stats,
     observed_days,
     pair_sessions,
-    slot_stats,
 )
 from wlantel.detection.rules import detect_duplicate_devices
 from wlantel.domain import (
@@ -389,12 +389,14 @@ class TestSlotStats:
     @pytest.mark.parametrize("n_days", [7, 30, 36, 60])
     def test_leave_one_out_matches_reference(self, n_days):
         aggs = varied_aggregates(n_days, seed=n_days)
+        left_out = leave_one_out_stats(aggs, BASELINE_METRICS)
+        assert len(left_out) == n_days
         seen = set()
         for i, agg in enumerate(aggs):
             others = aggs[:i] + aggs[i + 1:]
             dow = agg.day.weekday()
             same = sum(1 for a in others if a.day.weekday() == dow)
-            stats, fallback = slot_stats(others, dow)
+            stats, fallback = left_out[i]
             assert stats == reference_slot_stats(others, dow)
             assert fallback is (same < MIN_BASELINE_DAYS)
             seen.add((same, fallback))

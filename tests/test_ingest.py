@@ -174,6 +174,50 @@ class TestParseCsv:
                                    format="csv", strict=True))
         assert exc.value.line_no == 2
 
+    def test_quoted_cell_over_field_limit_skips_its_whole_record(self):
+        # The reader stops inside the quoted cell; the cell's second line is
+        # still part of the bad record, not a row of its own.
+        header = "ts,kind,ap,device\n"
+        huge = f'2025-03-03T15:00:00Z,"{"x" * 200_000}\nassoc",AP-101,{MAC}\n'
+        good = f"2025-03-03T16:00:00Z,assoc,AP-101,{MAC}\n"
+        stats = IngestStats()
+        rows = list(parse_session_log(io.StringIO(header + huge + good),
+                                      format="csv", stats=stats))
+        assert rows == [(4, {"ts": "2025-03-03T16:00:00Z", "kind": "assoc",
+                             "ap": "AP-101", "device": MAC})]
+        assert stats.errors == {"bad_cell": 1}
+        assert stats.lines_read == 2
+        with pytest.raises(MalformedLine) as exc:
+            list(parse_session_log(io.StringIO(header + huge + good),
+                                   format="csv", strict=True))
+        assert exc.value.line_no == 2
+
+    def test_quoted_cell_over_field_limit_that_never_closes_ends_the_ingest(self):
+        header = "ts,kind,ap,device\n"
+        huge = f'2025-03-03T15:00:00Z,"{"x" * 200_000}\nassoc,AP-101,{MAC}\n'
+        good = f"2025-03-03T16:00:00Z,assoc,AP-101,{MAC}\n"
+        stats = IngestStats()
+        assert list(parse_session_log(io.StringIO(header + huge + good),
+                                      format="csv", stats=stats)) == []
+        assert stats.errors == {"bad_cell": 1}
+        assert stats.lines_read == 1
+        with pytest.raises(MalformedLine) as exc:
+            list(parse_session_log(io.StringIO(header + huge + good),
+                                   format="csv", strict=True))
+        assert exc.value.line_no == 2
+
+    def test_stray_quote_in_an_unquoted_cell_opens_nothing(self):
+        # A quote inside an unquoted cell is a plain character, so the bad
+        # record ends with its line.
+        header = "ts,kind,ap,device\n"
+        huge = f'x"y,{"z" * 200_000},AP-101,{MAC}\n'
+        good = [f"2025-03-03T{h}:00:00Z,assoc,AP-101,{MAC}\n" for h in (15, 16)]
+        stats = IngestStats()
+        rows = list(parse_session_log(io.StringIO(header + huge + "".join(good)),
+                                      format="csv", stats=stats))
+        assert [n for n, _ in rows] == [3, 4]
+        assert stats.errors == {"bad_cell": 1}
+
     def test_line_numbers_count_physical_lines(self):
         # A quoted cell that spans two lines: the next row starts on line 4.
         text = ("ts,device,ap,kind,session_minutes,note\n"
@@ -560,3 +604,13 @@ def test_csv_column_path_matches_validating_each_row(rows, mode, strict):
                                             format="csv", strict=strict,
                                             pre_anonymized=pre_anonymized))
     assert got == outcome(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet='"a,', max_size=30))
+def test_csv_quote_state_matches_the_csv_reader(text):
+    # The reader is inside a quoted cell after the line iff it takes the
+    # next line into the same record.
+    reader = csv.reader(iter([text + "\n", "end\n"]))
+    next(reader)
+    assert ingest._quote_state(text + "\n")[0] is (reader.line_num == 2)

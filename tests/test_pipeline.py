@@ -208,7 +208,8 @@ def test_artifacts_match_golden_digests(salt, tmp_path, capsys):
 
 def test_baseline_built_once_per_run(salt, monkeypatch):
     # Protocol-share tests take their leave-one-out statistics from
-    # descriptive.slot_stats; the whole profile is built once, in describe.
+    # descriptive.leave_one_out_stats; the whole profile is built once, in
+    # describe.
     raw, _ = generate_month(SimConfig(days=36, weekday_users=64, weekend_users=44,
                                       device_pool=120), seed=5)
     records = list(ingest_records(enumerate(raw, start=1), salt))

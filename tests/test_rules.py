@@ -129,7 +129,8 @@ class TestDuplicateDeviceRules:
 
 
 def stats_with(dns=(0.05, 0.01), https=(0.62, 0.01)):
-    """A metric -> (mean, std) mapping, as `descriptive.slot_stats` gives it."""
+    """A metric -> (mean, std) mapping, as `descriptive.leave_one_out_stats`
+    gives it for one day."""
     return {
         "proto_share_dns": dns,
         "proto_share_https": https,
