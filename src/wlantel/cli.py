@@ -54,7 +54,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", help="parse, anonymize, and validate a trace")
     _add_ingest_args(p)
-    p.add_argument("--out", help="write validated records as JSONL")
+    p.add_argument("--out", help="write validated records as JSONL, "
+                                 "the lines the run's input_digest hashes")
 
     p = sub.add_parser("analyze", help="descriptive stage only")
     _add_ingest_args(p)
@@ -140,16 +141,16 @@ def _cmd_simulate(args) -> int:
             raise InvalidConfig(f"--set needs KEY=VALUE, got {item!r}")
         overrides[key] = value
     config = SimConfig(days=args.days).with_overrides(overrides)
-    records, truth = generate_month(config, seed=args.seed)
+    trace, truth = generate_month(config, seed=args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r, separators=(",", ":")) + "\n")
+        fh.write(trace)
     if args.labels:
         with open(args.labels, "w", encoding="utf-8") as fh:
             json.dump(truth.to_json_dict(), fh, indent=2)
             fh.write("\n")
     if not args.quiet:
-        print(f"wrote {len(records)} records, "
+        records = trace.count("\n")
+        print(f"wrote {records} records, "
               f"{len(truth.injections)} injected anomalies", file=sys.stderr)
     return 0
 
@@ -159,8 +160,7 @@ def _cmd_ingest(args) -> int:
     records = as_table(_ingest(args, stats))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            for r in records:
-                fh.write(json.dumps(r.to_json_dict(), separators=(",", ":")) + "\n")
+            fh.writelines(records.canonical_lines())
     print(json.dumps(stats.to_json_dict(), indent=2))
     return 0
 

@@ -1,4 +1,5 @@
-"""Statistical simulator: a labeled synthetic month of campus WiFi records.
+"""Statistical simulator: a labeled synthetic month of campus WiFi records,
+written as the JSONL text a controller export would hold.
 
 The generator is calibrated against the published monthly summary table
 (mean daily connections ~5 800 in [4 100, 7 200], session mean ~47 min,
@@ -10,6 +11,11 @@ the acceptance suite gates the resulting statistics.
 Determinism: every stream derives from (seed, day index) through numpy
 SeedSequences, so output is identical across platforms and independent of
 any parallel evaluation order.
+
+Each day is drawn as numpy columns: times, AP and device indices, and the
+payloads of each kind of line.  The day's lines are then written from
+%-templates and put in the trace's order by one stable sort, with no dict
+per line.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
-from typing import Sequence
+from functools import cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .domain import LOCAL_TZ, TS_MAX, AnomalyType, InputError, format_ts
+from .domain import LOCAL_TZ, TS_MAX, AnomalyType, InputError
 
 
 class InvalidConfig(InputError):
@@ -224,11 +231,6 @@ def _ap_weights(config: SimConfig) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _ts_string(day: date, seconds: float) -> str:
-    local = datetime.combine(day, time(0, 0), LOCAL_TZ) + timedelta(seconds=float(seconds))
-    return format_ts(local)
-
-
 def _sample_start_seconds(rng: np.random.Generator, curve: Sequence[float],
                           n: int) -> np.ndarray:
     probs = np.array(curve, dtype=float)
@@ -237,20 +239,127 @@ def _sample_start_seconds(rng: np.random.Generator, curve: Sequence[float],
     return hours * 3600.0 + rng.uniform(0.0, 3600.0, size=n)
 
 
-def _sorted_records(records: list[dict]) -> list[dict]:
-    return sorted(records, key=lambda r: (r["ts"], r["ap"], r["device"], r["kind"]))
+# Each kind's line: json.dumps(record, separators=(",", ":")) with the keys in
+# the simulator's order, as a %-template over the ts (without its "Z"), the
+# device, the AP and the kind's payload.  An id, a ts or a protocol needs no
+# escaping, and a float's repr is what json writes for it.
+_LINE_FORMATS = {
+    "ap_health": '{"ts":"%sZ","device":"%s","ap":"%s","kind":"ap_health",'
+                 '"latency_ms":%r,"loss_pct":%r}\n',
+    "assoc": '{"ts":"%sZ","device":"%s","ap":"%s","kind":"assoc"}\n',
+    "auth_fail": '{"ts":"%sZ","device":"%s","ap":"%s","kind":"auth_fail"}\n',
+    "disassoc": '{"ts":"%sZ","device":"%s","ap":"%s","kind":"disassoc",'
+                '"session_minutes":%r}\n',
+    "traffic": '{"ts":"%sZ","device":"%s","ap":"%s","kind":"traffic",'
+               '"bytes_up":%d,"bytes_down":%d,"proto":"%s"}\n',
+}
+# The kinds by their strings: a kind's index is its rank in the line order.
+_KINDS = tuple(sorted(_LINE_FORMATS))
 
 
-def generate_month(config: SimConfig = SimConfig(), seed: int = 42) -> tuple[list[dict], GroundTruth]:
+class _Lines(NamedTuple):
+    """Lines of one kind, in the order they are drawn."""
+    kind: str
+    seconds: np.ndarray       # after local midnight, float
+    ap: np.ndarray            # AP indices
+    device: np.ndarray        # device indices
+    anomalous: bool = False   # injected devices: MAC prefix 06, not 02
+    payload: tuple = ()       # the kind's payload columns, as lists
+
+
+def _micros(seconds: np.ndarray) -> np.ndarray:
+    """Each time of day as int64 microseconds, rounded the way
+    timedelta(seconds=s) rounds: the exact fraction of a second times 1e6,
+    rounded half to even."""
+    whole = np.floor(seconds)
+    return (whole.astype(np.int64) * 1_000_000
+            + np.rint((seconds - whole) * 1e6).astype(np.int64))
+
+
+def _ts_text(day: date, micros: np.ndarray) -> list[str]:
+    """format_ts of each offset from the local midnight of ``day``, without
+    its "Z".  isoformat leaves out a zero microsecond."""
+    midnight = np.datetime64(day, "us") - np.timedelta64(LOCAL_TZ.utcoffset(None), "us")
+    text = np.datetime_as_string(midnight + micros.astype("timedelta64[us]"),
+                                 unit="us").tolist()
+    for i in np.flatnonzero(micros % 1_000_000 == 0).tolist():
+        text[i] = text[i][:-len(".000000")]
+    return text
+
+
+def _line_order(micros: np.ndarray, ap_rank: np.ndarray, anomalous: np.ndarray,
+                device: np.ndarray, kind: np.ndarray) -> np.ndarray:
+    """The stable order of one day's lines by their (ts, ap, device, kind)
+    strings.  Within one second, '.' < 'Z' puts the lines with a fraction
+    before the whole-second line.  APs rank by name ("AP-100" < "AP-99"),
+    the 02: MACs come before the 06: MACs, each by index, and kinds rank by
+    their strings."""
+    second, fraction = np.divmod(micros, 1_000_000)
+    ts = second * 1_000_001 + np.where(fraction == 0, 1_000_000, fraction)
+    return np.lexsort((kind, device, anomalous, ap_rank, ts))
+
+
+def _traffic_bytes(volume: np.ndarray) -> tuple[list, list]:
+    """bytes_up and bytes_down of each volume: int(volume), 15 % of it up."""
+    if volume.max(initial=0.0) < 2.0 ** 63:
+        total = volume.astype(np.int64)
+        up = (total * 0.15).astype(np.int64)
+        return up.tolist(), (total - up).tolist()
+    total = [int(v) for v in volume.tolist()]  # past int64, as Python ints
+    up = [int(t * 0.15) for t in total]
+    return up, [t - u for t, u in zip(total, up)]
+
+
+class _DayWriter:
+    """Writes each day's lines as JSONL text in the trace's order."""
+
+    def __init__(self, ap_names: list[str]):
+        self.ap_names = np.array(ap_names, dtype=object)
+        self.ap_rank = np.argsort(np.argsort(np.array(ap_names), kind="stable"))
+        self.macs = (cache(_device_mac), cache(_anomaly_mac))
+
+    def __call__(self, day: date, lines: list[_Lines]) -> str:
+        sizes = [len(part.seconds) for part in lines]
+        micros = _micros(np.concatenate([part.seconds for part in lines]))
+        ap = np.concatenate([part.ap for part in lines])
+        device = np.concatenate([part.device for part in lines])
+        anomalous = np.repeat([part.anomalous for part in lines], sizes)
+        ts = _ts_text(day, micros)
+        macs = self._macs(device, anomalous)
+        aps = self.ap_names[ap].tolist()
+        text: list[str] = []
+        start = 0
+        for part, n in zip(lines, sizes):
+            rows = slice(start, start + n)
+            text += map(_LINE_FORMATS[part.kind].__mod__,
+                        zip(ts[rows], macs[rows], aps[rows], *part.payload))
+            start += n
+        kind = np.repeat([_KINDS.index(part.kind) for part in lines], sizes)
+        order = _line_order(micros, self.ap_rank[ap], anomalous, device, kind)
+        return "".join(map(text.__getitem__, order.tolist()))
+
+    def _macs(self, device: np.ndarray, anomalous: np.ndarray) -> list[str]:
+        """Each line's MAC, made once per distinct device."""
+        macs = np.empty(len(device), dtype=object)
+        for flag, mac in enumerate(self.macs):
+            rows = np.flatnonzero(anomalous == flag)
+            unique, inverse = np.unique(device[rows], return_inverse=True)
+            macs[rows] = np.array([mac(d) for d in unique.tolist()], dtype=object)[inverse]
+        return macs.tolist()
+
+
+def generate_month(config: SimConfig = SimConfig(), seed: int = 42) -> tuple[str, GroundTruth]:
     """Generate one month of raw controller records plus injection labels.
 
-    Records are raw JSONL-format dicts with un-anonymized MACs, sorted by
-    timestamp, exactly as a controller export would look.
+    The records are JSONL text, one compact JSON object per line with
+    un-anonymized MACs, sorted by their timestamp strings, exactly as a
+    controller export would look.
     """
     ap_names = _ap_names(config.ap_count)
     ap_weights = _ap_weights(config)
     n_hot = len(HOTSPOT_DAILY_SESSIONS)
-    records: list[dict] = []
+    write_day = _DayWriter(ap_names)
+    days: list[str] = []
     injections: list[Injection] = []
     anomaly_device_counter = 0
 
@@ -304,54 +413,48 @@ def generate_month(config: SimConfig = SimConfig(), seed: int = 42) -> tuple[lis
             math.log(config.bytes_per_session_mean) - config.bytes_per_session_sigma ** 2 / 2.0,
             config.bytes_per_session_sigma, size=n_sessions)
         protos = rng.choice(proto_names, size=n_sessions, p=proto_probs)
-
-        for i in range(n_sessions):
-            mac = _device_mac(int(devices[i]))
-            ap = ap_names[ap_idx[i]]
-            records.append({"ts": _ts_string(day, starts[i]), "device": mac,
-                            "ap": ap, "kind": "assoc"})
-            records.append({"ts": _ts_string(day, ends[i]), "device": mac,
-                            "ap": ap, "kind": "disassoc",
-                            "session_minutes": round(durations[i] / 60.0, 2)})
-            total = int(bytes_total[i])
-            up = int(total * 0.15)
-            records.append({"ts": _ts_string(day, (starts[i] + ends[i]) / 2.0),
-                            "device": mac, "ap": ap, "kind": "traffic",
-                            "bytes_up": up, "bytes_down": total - up,
-                            "proto": str(protos[i])})
+        # round() of a numpy float is np.round, so the session minutes are
+        # np.round's; every other float below is a Python float and uses
+        # Python's round.
+        lines = [
+            _Lines("assoc", starts, ap_idx, devices),
+            _Lines("disassoc", ends, ap_idx, devices,
+                   payload=(np.round(durations / 60.0, 2).tolist(),)),
+            _Lines("traffic", (starts + ends) / 2.0, ap_idx, devices,
+                   payload=(*_traffic_bytes(bytes_total), protos.tolist())),
+        ]
 
         # Baseline failed authentications.
         n_fail = rng.poisson(config.auth_fail_mean)
         fail_starts = _sample_start_seconds(rng, CAMPUS_CURVE, n_fail)
         fail_devices = rng.integers(0, config.device_pool, size=n_fail)
         fail_aps = rng.choice(config.ap_count, size=n_fail, p=ap_weights)
-        for i in range(n_fail):
-            records.append({"ts": _ts_string(day, fail_starts[i]),
-                            "device": _device_mac(int(fail_devices[i])),
-                            "ap": ap_names[int(fail_aps[i])], "kind": "auth_fail"})
+        lines.append(_Lines("auth_fail", fail_starts, fail_aps, fail_devices))
 
         # Daily AP health, load-dependent: busier APs run hotter.
         load_norm = ap_weights / ap_weights.max()
         latency = 25.0 + 22.0 * load_norm + rng.normal(0.0, 2.0, size=config.ap_count)
         loss = 0.5 + 1.3 * load_norm + rng.normal(0.0, 0.12, size=config.ap_count)
-        for a in range(config.ap_count):
-            records.append({"ts": _ts_string(day, 12 * 3600.0),
-                            "device": _device_mac(0), "ap": ap_names[a],
-                            "kind": "ap_health",
-                            "latency_ms": round(max(1.0, float(latency[a])), 1),
-                            "loss_pct": round(min(100.0, max(0.05, float(loss[a]))), 2)})
+        lines.append(_Lines(
+            "ap_health", np.full(config.ap_count, 12 * 3600.0), np.arange(config.ap_count),
+            np.zeros(config.ap_count, dtype=int),
+            payload=([round(max(1.0, v), 1) for v in latency.tolist()],
+                     [round(min(100.0, max(0.05, v)), 2) for v in loss.tolist()])))
 
         for etype in plan:
             if etype is AnomalyType.DNS_ANOMALY:
                 injections.append(Injection(
                     day=day, type=AnomalyType.DNS_ANOMALY, magnitude=dns_factor))
                 continue
-            recs, inj, anomaly_device_counter = _inject_one(
-                etype, config, rng, day, ap_names, anomaly_device_counter)
-            records.extend(recs)
+            injected, inj = _inject_one(etype, config, rng, day, ap_names,
+                                        anomaly_device_counter)
+            anomaly_device_counter += 1
+            lines.extend(injected)
             injections.append(inj)
 
-    return _sorted_records(records), GroundTruth(injections=tuple(injections))
+        days.append(write_day(day, lines))
+
+    return "".join(days), GroundTruth(injections=tuple(injections))
 
 
 def _regular_duration_factor(config: SimConfig) -> float:
@@ -382,11 +485,6 @@ def _resolve_device_overlaps(devices: np.ndarray, starts: np.ndarray,
     return starts, durations
 
 
-def _next_anomaly_devices(counter: int, count: int) -> tuple[list[str], int]:
-    macs = [_anomaly_mac(counter + i) for i in range(count)]
-    return macs, counter + count
-
-
 def _plan_day(config: SimConfig, rng: np.random.Generator) -> list:
     plan = []
     for _ in range(int(rng.poisson(config.device_event_rate))):
@@ -406,84 +504,84 @@ def _plan_day(config: SimConfig, rng: np.random.Generator) -> list:
 
 
 def _inject_one(etype, config: SimConfig, rng: np.random.Generator, day: date,
-                ap_names: list[str], counter: int) -> tuple[list[dict], Injection, int]:
+                ap_names: list[str], device: int) -> tuple[list[_Lines], Injection]:
+    """The lines and the label of one injected event by anomaly device
+    ``device``."""
     if etype is AnomalyType.DUPLICATE_DEVICE:
-        return _inject_duplicate(config, rng, day, ap_names, counter)
+        return _inject_duplicate(config, rng, day, ap_names, device)
     if etype is AnomalyType.SIMULTANEOUS_CONNECTIONS:
-        return _inject_simultaneous(config, rng, day, ap_names, counter)
+        return _inject_simultaneous(config, rng, day, ap_names, device)
     if etype is AnomalyType.AUTH_BURST:
-        return _inject_auth_burst(config, rng, day, ap_names, counter)
+        return _inject_auth_burst(config, rng, day, ap_names, device)
     if etype is AnomalyType.TRAFFIC_SPIKE:
-        return _inject_traffic_spike(config, rng, day, ap_names, counter)
+        return _inject_traffic_spike(config, rng, day, ap_names, device)
     raise InvalidConfig(f"cannot inject anomaly type {etype.value}")
 
 
-def _session_records(mac: str, ap: str, day: date, start: float, dur_s: float) -> list[dict]:
-    end = min(start + dur_s, 86399.0)
-    return [
-        {"ts": _ts_string(day, start), "device": mac, "ap": ap, "kind": "assoc"},
-        {"ts": _ts_string(day, end), "device": mac, "ap": ap, "kind": "disassoc",
-         "session_minutes": round((end - start) / 60.0, 2)},
-    ]
+def _anomaly_sessions(device: int, aps: list, starts: list, durations: list) -> list[_Lines]:
+    """An anomaly device's sessions: their assoc lines, then their disassoc
+    lines, each ending at 23:59:59 local at the latest."""
+    starts = np.array(starts)
+    ends = np.minimum(starts + np.array(durations), 86399.0)
+    aps, devices = np.array(aps), np.full(len(starts), device)
+    return [_Lines("assoc", starts, aps, devices, anomalous=True),
+            _Lines("disassoc", ends, aps, devices, anomalous=True,
+                   payload=([round(m, 2) for m in ((ends - starts) / 60.0).tolist()],))]
 
 
-def _inject_duplicate(config, rng, day, ap_names, counter):
-    (mac,), counter = _next_anomaly_devices(counter, 1)
+def _inject_duplicate(config, rng, day, ap_names, device):
     a1, a2 = rng.choice(len(ap_names), size=2, replace=False)
     start = rng.uniform(8 * 3600.0, 18 * 3600.0)
     dur = rng.uniform(1800.0, 4200.0)
-    records = (_session_records(mac, ap_names[a1], day, start, dur)
-               + _session_records(mac, ap_names[a2], day, start + dur * 0.4, dur))
+    lines = _anomaly_sessions(device, [a1, a2], [start, start + dur * 0.4], [dur, dur])
     inj = Injection(day=day, type=AnomalyType.DUPLICATE_DEVICE,
-                    devices=(mac,), aps=(ap_names[a1], ap_names[a2]),
+                    devices=(_anomaly_mac(device),), aps=(ap_names[a1], ap_names[a2]),
                     magnitude=2.0)
-    return records, inj, counter
+    return lines, inj
 
 
-def _inject_simultaneous(config, rng, day, ap_names, counter):
-    (mac,), counter = _next_anomaly_devices(counter, 1)
-    ap = ap_names[int(rng.integers(len(ap_names)))]
+def _inject_simultaneous(config, rng, day, ap_names, device):
+    ap = int(rng.integers(len(ap_names)))
     n_overlap = int(rng.integers(5, 8))  # over the default limit of 3
     start = rng.uniform(8 * 3600.0, 18 * 3600.0)
-    records = []
-    for i in range(n_overlap):
-        records.extend(_session_records(mac, ap, day, start + i * 60.0,
-                                        rng.uniform(1800.0, 3600.0)))
+    starts = [start + i * 60.0 for i in range(n_overlap)]
+    durations = [rng.uniform(1800.0, 3600.0) for _ in range(n_overlap)]
+    lines = _anomaly_sessions(device, [ap] * n_overlap, starts, durations)
     inj = Injection(day=day, type=AnomalyType.SIMULTANEOUS_CONNECTIONS,
-                    devices=(mac,), aps=(ap,), magnitude=float(n_overlap))
-    return records, inj, counter
+                    devices=(_anomaly_mac(device),), aps=(ap_names[ap],),
+                    magnitude=float(n_overlap))
+    return lines, inj
 
 
-def _inject_auth_burst(config, rng, day, ap_names, counter):
-    (mac,), counter = _next_anomaly_devices(counter, 1)
-    ap = ap_names[int(rng.integers(len(ap_names)))]
+def _inject_auth_burst(config, rng, day, ap_names, device):
+    ap = int(rng.integers(len(ap_names)))
     n_fail = int(rng.integers(150, 321))
     start = rng.uniform(8 * 3600.0, 18 * 3600.0)
     offsets = np.sort(rng.uniform(0.0, 3600.0, size=n_fail))
-    records = [{"ts": _ts_string(day, start + o), "device": mac, "ap": ap,
-                "kind": "auth_fail"} for o in offsets]
+    lines = [_Lines("auth_fail", start + offsets, np.full(n_fail, ap),
+                    np.full(n_fail, device), anomalous=True)]
     inj = Injection(day=day, type=AnomalyType.AUTH_BURST,
-                    devices=(mac,), aps=(ap,), magnitude=float(n_fail))
-    return records, inj, counter
+                    devices=(_anomaly_mac(device),), aps=(ap_names[ap],),
+                    magnitude=float(n_fail))
+    return lines, inj
 
 
-def _inject_traffic_spike(config, rng, day, ap_names, counter):
-    (mac,), counter = _next_anomaly_devices(counter, 1)
-    ap = ap_names[int(rng.integers(len(ap_names)))]
+def _inject_traffic_spike(config, rng, day, ap_names, device):
+    ap = int(rng.integers(len(ap_names)))
     extra_gb = rng.uniform(120.0, 220.0)
     # Proportional protocol mix keeps shares flat; the spike shows up only
     # in total volume.
-    records = []
     n_chunks = 24
+    seconds, protos = [], []
     for i in range(n_chunks):
-        t = 8 * 3600.0 + i * 1200.0 + rng.uniform(0.0, 600.0)
-        total = int(extra_gb * 1e9 / n_chunks)
-        proto = str(rng.choice(list(config.proto_mix.keys()),
-                               p=list(config.proto_mix.values())))
-        up = int(total * 0.15)
-        records.append({"ts": _ts_string(day, t), "device": mac, "ap": ap,
-                        "kind": "traffic", "bytes_up": up,
-                        "bytes_down": total - up, "proto": proto})
+        seconds.append(8 * 3600.0 + i * 1200.0 + rng.uniform(0.0, 600.0))
+        protos.append(str(rng.choice(list(config.proto_mix.keys()),
+                                     p=list(config.proto_mix.values()))))
+    volume = np.full(n_chunks, extra_gb * 1e9 / n_chunks)
+    lines = [_Lines("traffic", np.array(seconds), np.full(n_chunks, ap),
+                    np.full(n_chunks, device), anomalous=True,
+                    payload=(*_traffic_bytes(volume), protos))]
     inj = Injection(day=day, type=AnomalyType.TRAFFIC_SPIKE,
-                    devices=(mac,), aps=(ap,), magnitude=extra_gb)
-    return records, inj, counter
+                    devices=(_anomaly_mac(device),), aps=(ap_names[ap],),
+                    magnitude=extra_gb)
+    return lines, inj

@@ -7,9 +7,11 @@ acceptance tests.
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
-from wlantel.ingest import Salt, ingest_records
+from wlantel.ingest import Salt, ingest_stream
 from wlantel.pipeline import PipelineConfig, run_pipeline
 from wlantel.simulator import SimConfig, generate_month
 
@@ -29,8 +31,9 @@ def sim_month():
 
 @pytest.fixture(scope="session")
 def month_records(sim_month, salt):
-    raw, _ = sim_month
-    return list(ingest_records(enumerate(raw, start=1), salt))
+    """The month's trace through the CLI's ingest path, as one table."""
+    trace, _ = sim_month
+    return ingest_stream(io.StringIO(trace), salt)[0]
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ failing criterion shows up as the corresponding failing test.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
@@ -29,8 +30,8 @@ from wlantel.detection.iforest import (
     fit_isolation_forest,
     iforest_score,
 )
-from wlantel.domain import AnomalyType, as_table
-from wlantel.ingest import ingest_records
+from wlantel.domain import AnomalyType
+from wlantel.ingest import ingest_stream
 from wlantel.pipeline import evaluate
 from wlantel.prescriptive import flag_aps
 from wlantel.simulator import SimConfig, generate_month
@@ -63,8 +64,8 @@ def seed_summaries(salt):
     summaries = []
     for seed in SEEDS:
         t0 = time.perf_counter()
-        raw, _ = generate_month(SimConfig(), seed=seed)
-        records = as_table(ingest_records(enumerate(raw, start=1), salt))
+        trace, _ = generate_month(SimConfig(), seed=seed)
+        records, _ = ingest_stream(io.StringIO(trace), salt)
         desc = descriptive.describe(records)
         aggregates, hourly = desc.aggregates, desc.hourly
         seconds = time.perf_counter() - t0

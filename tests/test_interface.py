@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import json
 import os
 import re
@@ -124,6 +125,19 @@ class TestCliPipeline:
         monkeypatch.setenv("WLC_SALT_HEX", TEST_SALT_HEX)
         trace, _ = small_trace
         assert main(["ingest", "--in", str(trace)]) == 0
+
+    def test_ingest_out_holds_the_lines_of_the_input_digest(self, small_trace, salt_file,
+                                                            tmp_path, capsys):
+        trace, _ = small_trace
+        out = tmp_path / "validated.jsonl"
+        assert main(["ingest", "--in", str(trace), "--salt-file", salt_file,
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        for name, source in (("run", ["--in", str(trace), "--salt-file", salt_file]),
+                             ("rerun", ["--in", str(out), "--pre-anonymized"])):
+            assert main(["--quiet", "run", *source, "--out", str(tmp_path / name)]) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == manifest["input_digest"], name
 
     def test_analyze_writes_artifacts(self, small_trace, salt_file, tmp_path):
         trace, _ = small_trace

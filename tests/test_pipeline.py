@@ -4,6 +4,7 @@ the evaluation harness."""
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import replace
 from datetime import date, timedelta
@@ -22,10 +23,9 @@ from wlantel.domain import (
     Detector,
     EventKind,
     Severity,
-    as_table,
     validate,
 )
-from wlantel.ingest import Salt, anonymize_device, ingest_records
+from wlantel.ingest import Salt, anonymize_device, ingest_stream
 from wlantel.pipeline import (
     PipelineConfig,
     evaluate,
@@ -70,11 +70,11 @@ class TestRunPipeline:
             == replace(b, manifest={k: v for k, v in b.manifest.items() if k not in wall_clock})
 
     def test_requires_seven_days(self, salt):
-        raw, _ = generate_month(
+        trace, _ = generate_month(
             SimConfig(days=7, weekday_users=200.0, weekend_users=150.0,
                       device_pool=600, ap_count=15, auth_fail_mean=10.0),
             seed=1)
-        records = list(as_table(ingest_records(enumerate(raw), salt)))
+        records = list(ingest_stream(io.StringIO(trace), salt)[0])
         short = [r for r in records
                  if r.local_day() < min(x.local_day() for x in records)
                  + timedelta(days=5)]
@@ -82,7 +82,8 @@ class TestRunPipeline:
             run_pipeline(short, PipelineConfig())
 
     def test_input_digest_changes_with_input(self, month_records):
-        assert input_digest(month_records) != input_digest(month_records[:-1])
+        assert input_digest(month_records) \
+            != input_digest(month_records.take(slice(0, len(month_records) - 1)))
 
 
 def _json_digest(records) -> str:
@@ -183,8 +184,8 @@ GOLDEN_EVALUATE_DIGEST = "a9c2b031e8cedb13afbfb48138119c405067d65e4a1227e7a89281
 
 
 def test_artifacts_match_golden_digests(salt, tmp_path, capsys):
-    raw, truth = generate_month(GOLDEN_CONFIG, seed=3)
-    records = list(ingest_records(enumerate(raw, start=1), salt))
+    trace, truth = generate_month(GOLDEN_CONFIG, seed=3)
+    records, _ = ingest_stream(io.StringIO(trace), salt)
     rundir, reportdir = tmp_path / "run", tmp_path / "report"
     save_run(run_pipeline(records, PipelineConfig()), str(rundir))
     stored = load_run(str(rundir))
@@ -210,9 +211,9 @@ def test_baseline_built_once_per_run(salt, monkeypatch):
     # Protocol-share tests take their leave-one-out statistics from
     # descriptive.leave_one_out_stats; the whole profile is built once, in
     # describe.
-    raw, _ = generate_month(SimConfig(days=36, weekday_users=64, weekend_users=44,
-                                      device_pool=120), seed=5)
-    records = list(ingest_records(enumerate(raw, start=1), salt))
+    trace, _ = generate_month(SimConfig(days=36, weekday_users=64, weekend_users=44,
+                                        device_pool=120), seed=5)
+    records, _ = ingest_stream(io.StringIO(trace), salt)
     calls = []
     build_baseline = descriptive.build_baseline
 
