@@ -1,70 +1,263 @@
 """Read-only metrics/alerts service over a sealed run directory.
 
-Endpoints: /metrics (line-oriented text exposition), /alerts (anomaly list
-as JSON), /healthz (liveness), matched without their query string.  The
-snapshot is loaded and every reply body rendered once at startup; concurrent
-readers are served from threads.
+Endpoints: /metrics (Prometheus text format 0.0.4), /alerts (the run's
+anomalies as one JSON line) and /healthz (liveness), matched on the path
+without its query string.
+
+The server is plain `socket` and `threading`.  `serve_forever` runs a
+fixed pool of POOL_SIZE threads, its caller among them.  Each thread loops:
+accept a connection, read the request head, send one reply, close.  Every
+reply's status line, headers and body are rendered once at start-up; the
+Date header, cached per second, is the only per-request work.  A client
+has TIMEOUT_S to send a head of at most HEAD_LIMIT bytes; a client that
+stalls is closed without a reply, so it holds one thread for TIMEOUT_S at
+most.
+
+Replies: GET on an endpoint is 200 and on any other path 404; POST, PUT,
+DELETE and PATCH are 405; any other method, HEAD included, is 501; a
+malformed request line is 400 and a head past HEAD_LIMIT is 431.  Request
+lines may end in CRLF or a bare LF.  Every reply closes its connection.
 """
 
 from __future__ import annotations
 
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import re
+import socket
+import threading
+import time
 from urllib.parse import urlsplit
 
 from .domain import InputError
 # bench/tracer.py patches load_run here as well, so the name must stay.
 from .pipeline import Run, load_run  # noqa: F401
 
+POOL_SIZE = 8
+HEAD_LIMIT = 64 * 1024
+TIMEOUT_S = 5.0
+
+TEXT = "text/plain; charset=utf-8"
+
+# Each daily gauge: the aggregate field it shows, the value's format spec,
+# and its help text.  "anomalies" comes from daily_anomaly_counts.
+DAILY_FAMILIES = (
+    ("connections", "", "Connections opened on the day."),
+    ("traffic_gb", ".6g", "Traffic on the day, in GB."),
+    ("auth_failures", "", "Authentication failures on the day."),
+    ("overload_pct", ".6g", "Percent of the day's access points that were overloaded."),
+    ("anomalies", "", "Anomalies the run kept on the day."),
+)
+
+# method SP request-target SP HTTP-version, each part as RFC 9112 allows.
+REQUEST_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+) ([\x21-\x7e]+) HTTP/1\.[0-9]")
+# The blank line that ends a request head, its line ends CRLF or bare LF.
+END_OF_HEAD = re.compile(rb"\n\r?\n")
+WRITE_METHODS = frozenset((b"POST", b"PUT", b"DELETE", b"PATCH"))
+
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed", 431: "Request Header Fields Too Large",
+            501: "Not Implemented"}
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _label(value) -> str:
+    """A label value escaped as text format 0.0.4 requires."""
+    return str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _family(lines: list, name: str, kind: str, help_text: str, samples) -> None:
+    """Append one metric family: its # HELP and # TYPE lines, then each
+    (label set, value) sample."""
+    lines.append(f"# HELP {name} {help_text}")
+    lines.append(f"# TYPE {name} {kind}")
+    lines.extend(f"{name}{labels} {value}" for labels, value in samples)
+
 
 def metrics_exposition(run: Run) -> str:
-    """`name{label="v"} value` lines for the current aggregates and
-    anomaly counters."""
-    lines = []
-    for agg in run.aggregates:
-        day = agg["day"]
-        lines.append(f'wlantel_daily_connections{{day="{day}"}} {agg["connections"]}')
-        lines.append(f'wlantel_daily_traffic_gb{{day="{day}"}} {agg["traffic_gb"]:.6g}')
-        lines.append(f'wlantel_daily_auth_failures{{day="{day}"}} {agg["auth_failures"]}')
-        lines.append(f'wlantel_daily_overload_pct{{day="{day}"}} {agg["overload_pct"]:.6g}')
-        lines.append(f'wlantel_daily_anomalies{{day="{day}"}} {run.daily_anomaly_counts[day]}')
+    """The run as Prometheus text format 0.0.4: one contiguous group per
+    metric family, each opened by its # HELP and # TYPE lines."""
+    manifest = run.manifest
+    lines: list = []
+    _family(lines, "wlantel_run_info", "gauge",
+            "The run's id and the wlantel version that made it.",
+            [(f'{{run_id="{_label(manifest["run_id"])}",'
+              f'version="{_label(manifest["version"])}"}}', 1)])
+    _family(lines, "wlantel_stage_seconds", "gauge",
+            "Wall-clock seconds of each pipeline stage of the run.",
+            [(f'{{stage="{_label(stage)}"}}', repr(float(seconds)))
+             for stage, seconds in sorted(manifest["timings"].items())])
+    days = [(_label(agg["day"]), {**agg, "anomalies": run.daily_anomaly_counts[agg["day"]]})
+            for agg in run.aggregates]
+    for field, spec, help_text in DAILY_FAMILIES:
+        _family(lines, f"wlantel_daily_{field}", "gauge", help_text,
+                [(f'{{day="{day}"}}', format(values[field], spec)) for day, values in days])
     by_type: dict = {}
     for e in run.anomalies:
         by_type[e["type"]] = by_type.get(e["type"], 0) + 1
-    for etype, count in sorted(by_type.items()):
-        lines.append(f'wlantel_anomalies_total{{type="{etype}"}} {count}')
-    lines.append(f"wlantel_anomalies_count {len(run.anomalies)}")
-    lines.append(f"wlantel_recommendations_count {len(run.recommendations)}")
+    _family(lines, "wlantel_anomalies_total", "counter", "Anomalies the run kept, by type.",
+            [(f'{{type="{_label(etype)}"}}', count) for etype, count in sorted(by_type.items())])
+    _family(lines, "wlantel_anomalies_count", "gauge", "Anomalies the run kept.",
+            [("", len(run.anomalies))])
+    _family(lines, "wlantel_recommendations_count", "gauge", "Recommendations the run made.",
+            [("", len(run.recommendations))])
     return "\n".join(lines) + "\n"
 
 
-class _Handler(BaseHTTPRequestHandler):
-    routes: dict = {}  # path -> (content type, body bytes); set by make_server
+def _reply(status: int, content_type: str, body: bytes, extra: str = "") -> tuple:
+    """A reply as (its status line and headers up to the Date header, body)."""
+    return (f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"{extra}Connection: close\r\n").encode("ascii"), body
 
-    def do_GET(self):  # noqa: N802 (http.server API)
-        route = self.routes.get(urlsplit(self.path).path)
-        if route is None:
-            self._reply(404, "text/plain; charset=utf-8", b"not found\n")
+
+NOT_FOUND = _reply(404, TEXT, b"not found\n")
+READ_ONLY = _reply(405, TEXT, b"read-only service\n", "Allow: GET\r\n")
+NOT_IMPLEMENTED = _reply(501, TEXT, b"not implemented\n")
+BAD_REQUEST = _reply(400, TEXT, b"malformed request line\n")
+HEAD_TOO_LARGE = _reply(431, TEXT, b"request head too large\n")
+
+
+def _http_date(now: int) -> bytes:
+    t = time.gmtime(now)
+    return (f"{_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+            f"{t.tm_year} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT").encode("ascii")
+
+
+def _send(conn: socket.socket, buffers: list) -> None:
+    """Send every buffer, in one sendmsg unless the socket takes less."""
+    sent = conn.sendmsg(buffers)
+    for buf in buffers:
+        if sent >= len(buf):
+            sent -= len(buf)
         else:
-            self._reply(200, *route)
-
-    def do_POST(self):  # noqa: N802
-        self._reply(405, "text/plain; charset=utf-8", b"read-only service\n")
-
-    do_PUT = do_DELETE = do_PATCH = do_POST
-
-    def _reply(self, status: int, content_type: str, payload: bytes):
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, fmt, *args):
-        pass  # keep the data/diagnostic streams clean
+            conn.sendall(memoryview(buf)[sent:])
+            sent = 0
 
 
-def make_server(snapshot: Run, addr: str = "127.0.0.1:8080") -> ThreadingHTTPServer:
+class Server:
+    """One listening socket and the pool of threads that serve it."""
+
+    def __init__(self, routes: dict, host: str, port: int):
+        self._routes = routes  # path -> (head up to Date, body)
+        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.socket.bind((host, port))
+            self.socket.listen()
+        except OSError:
+            self.socket.close()
+            raise
+        self.server_address = self.socket.getsockname()
+        self._stopping = False
+        self._stopped = threading.Event()  # set whenever serve_forever is not running
+        self._stopped.set()
+        self._date = (0, b"")
+
+    def serve_forever(self) -> None:
+        """Serve until `shutdown`, from this thread and POOL_SIZE - 1 more."""
+        self._stopped.clear()
+        workers = [threading.Thread(target=self._work, name=f"wlantel-serve-{i}", daemon=True)
+                   for i in range(1, POOL_SIZE)]
+        try:
+            for worker in workers:
+                worker.start()
+            self._work()
+        finally:
+            if not self._stopping:
+                self._stop()
+            for worker in workers:
+                if worker.is_alive():
+                    worker.join()
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Make `serve_forever` return, and wait until it has."""
+        self._stop()
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        self.socket.close()
+
+    def _stop(self) -> None:
+        """Set the stop flag, then wake each thread blocked in accept with a
+        connection of its own."""
+        self._stopping = True
+        host, port = self.server_address[:2]
+        for _ in range(POOL_SIZE):
+            try:
+                socket.create_connection((host if host != "0.0.0.0" else "127.0.0.1", port),
+                                         timeout=1.0).close()
+            except OSError:
+                break
+
+    def _work(self) -> None:
+        while not self._stopping:
+            try:
+                conn, _ = self.socket.accept()
+            except OSError:
+                if self.socket.fileno() < 0:
+                    return
+                continue
+            with conn:
+                try:
+                    self._handle(conn)
+                except OSError:
+                    pass  # a reset, a timeout or a stalled client: just close
+
+    def _handle(self, conn: socket.socket) -> None:
+        deadline = time.monotonic() + TIMEOUT_S
+        data = b""
+        while (blank := END_OF_HEAD.search(data)) is None and len(data) <= HEAD_LIMIT:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            conn.settimeout(remaining)
+            chunk = conn.recv(8192)
+            if not chunk:
+                return
+            data += chunk
+        end = blank.end() if blank else len(data)
+        if end > HEAD_LIMIT:
+            reply, method = HEAD_TOO_LARGE, None
+        else:
+            reply, method = self._reply_to(data[:data.index(b"\n")].removesuffix(b"\r"))
+        now = int(time.time())
+        second, date = self._date  # one read: another thread may replace it
+        if second != now:
+            date = b"Date: " + _http_date(now) + b"\r\n\r\n"
+            self._date = (now, date)
+        head, body = reply
+        _send(conn, [head, date, body])
+        if method != b"GET" or len(data) > end:
+            _drain(conn)
+
+    def _reply_to(self, line: bytes) -> tuple:
+        """The reply to a request line, and its method (None if malformed)."""
+        request = REQUEST_LINE.fullmatch(line)
+        if request is None:
+            return BAD_REQUEST, None
+        method, target = request.groups()
+        if method == b"GET":
+            return self._routes.get(urlsplit(target.decode("ascii")).path, NOT_FOUND), method
+        return (READ_ONLY if method in WRITE_METHODS else NOT_IMPLEMENTED), method
+
+
+def _drain(conn: socket.socket) -> None:
+    """Close our side, then read what the client still sends for up to
+    TIMEOUT_S: closing with unread bytes would reset the connection and
+    could discard the reply before the client reads it."""
+    conn.shutdown(socket.SHUT_WR)
+    deadline = time.monotonic() + TIMEOUT_S
+    while (remaining := deadline - time.monotonic()) > 0:
+        conn.settimeout(remaining)
+        if not conn.recv(65536):
+            return
+
+
+def make_server(snapshot: Run, addr: str = "127.0.0.1:8080") -> Server:
     host, _, port_text = addr.rpartition(":")
     try:
         port = int(port_text)
@@ -72,12 +265,10 @@ def make_server(snapshot: Run, addr: str = "127.0.0.1:8080") -> ThreadingHTTPSer
         port = -1
     if not 0 <= port <= 65535:
         raise InputError(f"port must be a number in 0-65535, got {port_text!r}")
-    text = "text/plain; charset=utf-8"
     routes = {
-        "/healthz": (text, b"ok\n"),
-        "/metrics": (text, metrics_exposition(snapshot).encode("utf-8")),
-        "/alerts": ("application/json",
-                    (json.dumps(snapshot.anomalies) + "\n").encode("utf-8")),
+        "/healthz": _reply(200, TEXT, b"ok\n"),
+        "/metrics": _reply(200, TEXT, metrics_exposition(snapshot).encode("utf-8")),
+        "/alerts": _reply(200, "application/json",
+                          (json.dumps(snapshot.anomalies) + "\n").encode("utf-8")),
     }
-    handler = type("RunHandler", (_Handler,), {"routes": routes})
-    return ThreadingHTTPServer((host or "127.0.0.1", port), handler)
+    return Server(routes, host or "127.0.0.1", port)

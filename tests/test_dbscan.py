@@ -13,7 +13,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlantel.detection.dbscan import NOISE, dbscan
@@ -164,24 +164,45 @@ points_strategy = st.lists(
 )
 
 
+def on_grid(lo: float, hi: float):
+    """Multiples of 1/64 in [lo, hi].  Sums and differences of such values
+    within +-128 are exact in binary floating point."""
+    return st.integers(round(lo * 64), round(hi * 64)).map(lambda k: k / 64)
+
+
+def snapped(x: float) -> float:
+    """The multiple of 1/64 nearest to ``x``; drawn grid values stay put."""
+    return round(x * 64) / 64
+
+
 @settings(max_examples=50, deadline=None)
 @given(points=points_strategy,
        eps=st.floats(0.1, 5.0),
        min_pts=st.integers(1, 5),
-       scale=st.floats(0.1, 10.0))
+       scale=st.integers(-3, 3).map(lambda k: 2.0 ** k))
 def test_uniform_scaling_preserves_partition(points, eps, min_pts, scale):
-    """Scaling all coordinates and eps by the same factor changes nothing."""
+    """Scaling all coordinates and eps by the same factor changes nothing.
+    The factor is a power of two, so every scaled value, squared distance
+    and square root is the original one times an exact power of two, and
+    each comparison with eps comes out the same."""
     scaled = [tuple(scale * x for x in p) for p in points]
     assert partition(dbscan(points, eps, min_pts)) == \
         partition(dbscan(scaled, eps * scale, min_pts))
 
 
 @settings(max_examples=50, deadline=None)
-@given(points=points_strategy,
-       eps=st.floats(0.1, 5.0),
+@given(points=st.lists(st.tuples(on_grid(-10, 10), on_grid(-10, 10)), min_size=1, max_size=25),
+       eps=on_grid(0.1, 5.0),
        min_pts=st.integers(1, 5),
-       shift=st.tuples(st.floats(-50, 50), st.floats(-50, 50)))
+       shift=st.tuples(on_grid(-50, 50), on_grid(-50, 50)))
+# In floats, 1.1 - 1.0 > 0.1: this pair split in two once shifted.
+@example(points=[(0.0, 0.0), (0.0, 0.1)], eps=0.1, min_pts=1, shift=(0.0, 1.0))
 def test_translation_preserves_partition(points, eps, min_pts, shift):
+    """Translating every point changes nothing.  Inputs lie on the 1/64
+    grid, where each shifted coordinate, and so each difference of two, is
+    exact; the @example is snapped there too, to (0, 6/64) at eps 6/64."""
+    points = [tuple(map(snapped, p)) for p in points]
+    eps, shift = snapped(eps), tuple(map(snapped, shift))
     moved = [tuple(x + s for x, s in zip(p, shift)) for p in points]
     assert partition(dbscan(points, eps, min_pts)) == \
         partition(dbscan(moved, eps, min_pts))

@@ -6,7 +6,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
+import http.client
 import json
 import os
 import re
@@ -14,6 +16,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -22,17 +25,98 @@ from types import SimpleNamespace
 import pytest
 
 import wlantel
-from wlantel import descriptive
+from wlantel import descriptive, service
 from wlantel.cli import _build_parser, main
 from wlantel.ingest import SALT_ENV_VAR
 from wlantel.pipeline import load_run, save_run
 from wlantel.report import AP_CSV_HEADER, METRICS_CSV_HEADER, render_report
-from wlantel.service import make_server
+from wlantel.service import HEAD_LIMIT, make_server, metrics_exposition
 
 TEST_SALT_HEX = "00112233445566778899aabbccddeeff"
 
-EXPOSITION_LINE = re.compile(
-    r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [-0-9.eE+]+$')
+# Prometheus text format 0.0.4, as much of it as parse_exposition checks.
+METRIC_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
+EXPOSITION_COMMENT = re.compile(rf"# (HELP|TYPE) ({METRIC_NAME})(?: (.*))?")
+EXPOSITION_SAMPLE = re.compile(
+    rf"({METRIC_NAME})(?:\{{(.*)\}})? "
+    r"([+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|Inf)|NaN)"
+    r"(?: -?[0-9]+)?")
+EXPOSITION_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\[\\"n])*)"')
+EXPOSITION_TYPES = {"counter", "gauge", "histogram", "summary", "untyped"}
+
+
+def parse_exposition(text: str) -> dict:
+    """Each metric family of ``text`` by name, as {"type", "help",
+    "samples": [(labels, value)]}; ValueError on what text format 0.0.4
+    forbids.
+
+    Checked: the text ends in a newline; a family's lines form one
+    contiguous group; # HELP and # TYPE come at most once per family, TYPE
+    before the family's first sample and naming a known type; help text
+    and label values use only the escapes the format defines; label names
+    are unique within a sample; values are floats; no series repeats.
+    """
+    if not text.endswith("\n"):
+        raise ValueError("the text does not end in a newline")
+    families: dict = {}
+    current = None
+    series = set()
+    for line in text[:-1].split("\n"):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            comment = EXPOSITION_COMMENT.fullmatch(line)
+            if comment is None:
+                if line.startswith(("# HELP", "# TYPE")):
+                    raise ValueError(f"malformed metadata line {line!r}")
+                continue  # a plain comment
+            kind, name, rest = comment.groups()
+        else:
+            sample = EXPOSITION_SAMPLE.fullmatch(line)
+            if sample is None:
+                raise ValueError(f"malformed sample line {line!r}")
+            name, labels_text, value = sample.groups()
+            for suffix in ("_bucket", "_sum", "_count"):
+                base = name.removesuffix(suffix)
+                if base != name and families.get(base, {}).get("type") in ("histogram",
+                                                                           "summary"):
+                    name = base
+        if name != current:
+            if name in families:
+                raise ValueError(f"family {name} is split in two groups")
+            families[name] = {"type": None, "help": None, "samples": []}
+            current = name
+        family = families[name]
+        if line.startswith("#"):
+            field = kind.lower()
+            if family[field] is not None:
+                raise ValueError(f"second # {kind} for {name}")
+            if kind == "TYPE" and (family["samples"] or rest not in EXPOSITION_TYPES):
+                raise ValueError(f"bad or late # TYPE for {name}: {line!r}")
+            if kind == "HELP" and not re.fullmatch(r"(?:[^\\]|\\[\\n])*", rest or ""):
+                raise ValueError(f"bad escape in help text {line!r}")
+            family[field] = rest
+            continue
+        labels = {}
+        at = 0
+        labels_text = labels_text or ""
+        while at < len(labels_text):
+            label = EXPOSITION_LABEL.match(labels_text, at)
+            if label is None or label.group(1) in labels:
+                raise ValueError(f"bad label set in {line!r}")
+            labels[label.group(1)] = re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1],
+                                            label.group(2))
+            at = label.end()
+            if at < len(labels_text):
+                if labels_text[at] != ",":
+                    raise ValueError(f"bad label set in {line!r}")
+                at += 1
+        key = (sample.group(1), frozenset(labels.items()))
+        if key in series:
+            raise ValueError(f"repeated series {line!r}")
+        series.add(key)
+        family["samples"].append((labels, float(value)))
+    return families
 
 
 @pytest.fixture(scope="module")
@@ -416,15 +500,27 @@ class TestService:
         assert status == 200
         assert body == "ok\n"
 
-    def test_metrics_exposition_format(self, server):
+    def test_metrics_exposition_format(self, server, month_run):
         status, body = self.fetch(server + "/metrics")
         assert status == 200
-        lines = body.strip().split("\n")
-        assert lines
-        for line in lines:
-            assert EXPOSITION_LINE.match(line), line
-        assert any(line.startswith("wlantel_daily_connections") for line in lines)
-        assert any(line.startswith("wlantel_anomalies_count") for line in lines)
+        families = parse_exposition(body)
+        assert all(f["type"] and f["help"] for f in families.values())
+        days = [a["day"] for a in month_run.aggregates]
+        for field in ("connections", "traffic_gb", "auth_failures", "overload_pct",
+                      "anomalies"):
+            family = families[f"wlantel_daily_{field}"]
+            assert family["type"] == "gauge"
+            assert [labels for labels, _ in family["samples"]] == [{"day": d} for d in days]
+        assert families["wlantel_run_info"]["samples"] == [
+            ({"run_id": month_run.manifest["run_id"], "version": wlantel.__version__}, 1.0)]
+        stages = families["wlantel_stage_seconds"]["samples"]
+        assert {labels["stage"]: value for labels, value in stages} == \
+            month_run.manifest["timings"]
+        anomalies = len(month_run.anomalies)
+        assert families["wlantel_anomalies_count"]["samples"] == [({}, anomalies)]
+        assert sum(v for _, v in families["wlantel_anomalies_total"]["samples"]) == anomalies
+        assert families["wlantel_recommendations_count"]["samples"] == [
+            ({}, len(month_run.recommendations))]
 
     def test_alerts_json(self, server, month_run):
         status, body = self.fetch(server + "/alerts")
@@ -438,6 +534,7 @@ class TestService:
     def test_unknown_path_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as exc:
             self.fetch(server + "/nope")
+        exc.value.close()
         assert exc.value.code == 404
 
     def test_writes_rejected_405(self, server):
@@ -445,6 +542,7 @@ class TestService:
                                      method="POST")
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=5)
+        exc.value.close()
         assert exc.value.code == 405
 
 
@@ -452,6 +550,200 @@ def test_serve_missing_run_exits_1(tmp_path, capsys):
     code = main(["serve", "--run", str(tmp_path / "missing"), "--addr", "127.0.0.1:0"])
     assert code == 1
     assert "bind failed" not in capsys.readouterr().err
+
+
+def test_metrics_label_values_escaped(month_run):
+    odd = 'a"b\\c\nd'
+    run = dataclasses.replace(month_run, anomalies=[{"type": odd}],
+                              manifest={**month_run.manifest, "version": odd})
+    families = parse_exposition(metrics_exposition(run))
+    assert families["wlantel_anomalies_total"]["samples"] == [({"type": odd}, 1.0)]
+    assert families["wlantel_run_info"]["samples"][0][0]["version"] == odd
+
+
+@pytest.mark.parametrize("text", [
+    "a 1",                                    # no newline at the end
+    "a 1\nb 1\na 2\n",                        # family a split in two groups
+    "# TYPE a gauge\n# TYPE a gauge\na 1\n",   # TYPE twice
+    "a 1\n# TYPE a gauge\n",                   # TYPE after a sample
+    "# TYPE a gauges\na 1\n",                  # no such type
+    "# HELP a x\\y\na 1\n",                    # "\y" is no escape in help
+    'a{l="x\\y"} 1\n',                         # nor in a label value
+    'a{l="x} 1\n',                            # unterminated label value
+    'a{l="x",l="y"} 1\n',                     # label name twice
+    'a{l="x"b="y"} 1\n',                      # no comma between labels
+    "a 1_000\n",                              # not a float
+    "a 0x10\n",
+    "a one\n",
+    'a{l="1"} 1\na{l="1"} 2\n',                # series repeated
+    "1a 1\n",                                 # bad metric name
+])
+def test_exposition_parser_rejects(text):
+    with pytest.raises(ValueError):
+        parse_exposition(text)
+
+
+def test_exposition_parser_reads_what_the_format_allows():
+    families = parse_exposition(
+        "# HELP a Escapes \\\\ and \\n.\n# TYPE a counter\n"
+        'a{l="q\\"\\\\\\n",} 1.5e3 1700000000\n# any comment\nb NaN\nc -Inf\n')
+    assert families["a"] == {"type": "counter", "help": "Escapes \\\\ and \\n.",
+                             "samples": [({"l": 'q"\\\n'}, 1500.0)]}
+    assert families["c"]["samples"] == [({}, float("-inf"))]
+
+
+@pytest.fixture(scope="module")
+def snapshot(saved_run):
+    return load_run(str(saved_run))
+
+
+@contextlib.contextmanager
+def serving(snapshot, addr="127.0.0.1:0"):
+    """A server on ``addr`` for the block; yields its port."""
+    httpd = make_server(snapshot, addr)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield httpd.server_address[1]
+    finally:
+        httpd.shutdown()
+        thread.join(timeout=30)
+        httpd.server_close()
+    assert not thread.is_alive()
+
+
+def exchange(port: int, request: bytes) -> tuple[int, dict, bytes]:
+    """Send ``request`` on a fresh connection and read until the server
+    closes it: the reply's status, headers and body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        conn.sendall(request)
+        reply = b""
+        while chunk := conn.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("ascii").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    assert int(headers["Content-Length"]) == len(body)
+    return int(status_line.split()[1]), headers, body
+
+
+def _head_of(size: int) -> bytes:
+    """A GET /healthz head of exactly ``size`` bytes."""
+    start, end = b"GET /healthz HTTP/1.1\r\nX-Fill: ", b"\r\n\r\n"
+    return start + b"a" * (size - len(start) - len(end)) + end
+
+
+# case -> (request, expected status)
+REPLY_CASES = {
+    "get-healthz": (b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", 200),
+    "get-metrics-query": (b"GET /metrics?x=1 HTTP/1.0\r\n\r\n", 200),
+    "get-alerts-bare-lf": (b"GET /alerts HTTP/1.1\nHost: x\n\n", 200),
+    "get-unknown-path": (b"GET /nope HTTP/1.1\r\n\r\n", 404),
+    **{m.lower(): (m.encode() + b" /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 405)
+       for m in ("POST", "PUT", "DELETE", "PATCH")},
+    "head": (b"HEAD /healthz HTTP/1.1\r\n\r\n", 501),
+    "options": (b"OPTIONS * HTTP/1.1\r\n\r\n", 501),
+    "no-version": (b"GET /healthz\r\n\r\n", 400),
+    "two-spaces": (b"GET  /healthz HTTP/1.1\r\n\r\n", 400),
+    "not-http": (b"GET /healthz FTP/1.1\r\n\r\n", 400),
+    "blank-line": (b"\r\n\r\n", 400),
+    "head-at-limit": (_head_of(HEAD_LIMIT), 200),
+    "head-past-limit": (_head_of(HEAD_LIMIT + 1), 431),
+    "line-past-limit": (b"GET /" + b"a" * HEAD_LIMIT + b" HTTP/1.1\r\n\r\n", 431),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLY_CASES))
+def test_reply_status(case, server):
+    request, expected = REPLY_CASES[case]
+    port = int(server.rsplit(":", 1)[1])
+    status, headers, body = exchange(port, request)
+    assert status == expected, body
+    assert headers["Connection"] == "close"
+    assert headers["Date"].endswith(" GMT")
+    if expected == 405:
+        assert headers["Allow"] == "GET"
+
+
+@pytest.mark.parametrize("sent", [b"", b"GET /healthz\r\n"], ids=["nothing", "no-blank-line"])
+def test_stalled_client_delays_no_one_and_is_closed(snapshot, monkeypatch, sent):
+    monkeypatch.setattr(service, "TIMEOUT_S", 1.0)
+    with serving(snapshot) as port:
+        t0 = time.perf_counter()
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as stalled:
+            stalled.sendall(sent)
+            assert exchange(port, b"GET /healthz HTTP/1.1\r\n\r\n")[0] == 200
+            assert time.perf_counter() - t0 < 1.0
+            assert stalled.recv(1024) == b""  # closed, with no reply
+            assert time.perf_counter() - t0 >= 0.9
+
+
+def test_post_with_a_body_gets_405_without_a_reset(server):
+    host, port = server.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.request("POST", "/metrics", body=b"x" * (1 << 20))
+        resp = conn.getresponse()
+        assert (resp.status, resp.read()) == (405, b"read-only service\n")
+    finally:
+        conn.close()
+
+
+def test_concurrent_clients_get_identical_bodies(snapshot):
+    expected = {"/healthz": b"ok\n",
+                "/alerts": (json.dumps(snapshot.anomalies) + "\n").encode(),
+                "/metrics": metrics_exposition(snapshot).encode()}
+    paths = sorted(expected)
+    results: list = []
+
+    def client():
+        for i in range(50):
+            path = paths[i % 3]
+            status, _, body = exchange(port, f"GET {path} HTTP/1.1\r\n\r\n".encode())
+            results.append((path, status, body))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so races show
+    try:
+        with serving(snapshot) as port:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for c in clients:
+                c.start()
+            for c in clients:
+                c.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(results) == 400
+    for path, status, body in results:
+        assert (status, body) == (200, expected[path]), path
+
+
+def test_shutdown_returns_and_frees_the_port(snapshot):
+    before = set(threading.enumerate())
+    httpd = make_server(snapshot, "127.0.0.1:0")
+    port = httpd.server_address[1]
+    serving_thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    serving_thread.start()
+    assert exchange(port, b"GET /healthz HTTP/1.1\r\n\r\n")[0] == 200
+    stopper = threading.Thread(target=httpd.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(timeout=30)
+    assert not stopper.is_alive()
+    serving_thread.join(timeout=30)
+    assert set(threading.enumerate()) <= before  # the whole pool is gone
+    httpd.server_close()
+    with serving(snapshot, f"127.0.0.1:{port}") as again:
+        assert exchange(again, b"GET /healthz HTTP/1.1\r\n\r\n")[0] == 200
+
+
+def test_cli_import_leaves_out_http_and_ssl():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(wlantel.__file__).resolve().parents[1]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, wlantel.cli; print(sorted("
+         "m for m in ('http.server', 'http.client', 'ssl') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"
 
 
 def test_serve_bind_failure_exits_2(saved_run, capsys):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -205,6 +206,31 @@ def test_artifacts_match_golden_digests(salt, tmp_path, capsys):
     assert digests(reportdir) == GOLDEN_REPORT_DIGESTS
     assert stored.manifest["input_digest"] == GOLDEN_INPUT_DIGEST
     assert hashlib.sha256(evaluated.encode()).hexdigest() == GOLDEN_EVALUATE_DIGEST
+
+
+def test_rerun_into_the_same_directory_writes_new_identical_files(salt, tmp_path):
+    """Each writer unlinks a file before writing it again, so a hard link
+    to the first run's file keeps the old inode; the bytes are the same."""
+    trace, _ = generate_month(GOLDEN_CONFIG, seed=3)
+    records, _ = ingest_stream(io.StringIO(trace), salt)
+    rundir, reportdir, kept = tmp_path / "run", tmp_path / "report", tmp_path / "kept"
+    kept.mkdir()
+
+    def rerun():
+        run = run_pipeline(records, PipelineConfig())
+        save_run(run, str(rundir))
+        render_report(run, str(reportdir))
+
+    rerun()
+    first = {}
+    for path in [*rundir.iterdir(), *reportdir.iterdir()]:
+        first[path] = path.read_bytes()
+        os.link(path, kept / f"{path.parent.name}-{path.name}")
+    rerun()
+    for path, data in first.items():
+        assert not path.samefile(kept / f"{path.parent.name}-{path.name}"), path.name
+        if path.name != "manifest.json":
+            assert path.read_bytes() == data, path.name
 
 
 def test_baseline_built_once_per_run(salt, monkeypatch):
