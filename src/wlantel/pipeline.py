@@ -214,21 +214,13 @@ def descriptive_artifacts(aggregates: Sequence[DailyAggregate],
     }
 
 
-def open_fresh(path: Path, newline: Optional[str] = None):
-    """Open ``path`` for writing as a new UTF-8 file.  An existing file is
-    unlinked first: ext4 (its auto_da_alloc) flushes a file that was just
-    written when it is truncated or renamed over, but not when unlinked."""
-    path.unlink(missing_ok=True)
-    return open(path, "w", encoding="utf-8", newline=newline)
-
-
 def write_artifacts(rundir: str, artifacts: dict) -> None:
     """Write each payload of ``artifacts`` (file name -> JSON value) into
     ``rundir``, creating it, as indented key-sorted JSON."""
     out = Path(rundir)
     out.mkdir(parents=True, exist_ok=True)
     for name, payload in artifacts.items():
-        with open_fresh(out / name) as fh:
+        with open(out / name, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
             fh.write("\n")
 

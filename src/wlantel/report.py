@@ -13,7 +13,7 @@ import json
 import statistics
 from pathlib import Path
 
-from .pipeline import Run, open_fresh
+from .pipeline import Run
 
 METRICS_CSV_HEADER = ("Métrica", "Promedio Diario", "Valor Mínimo", "Valor Máximo")
 AP_CSV_HEADER = ("ID del AP", "Conexiones Mensuales", "Latencia Promedio (ms)",
@@ -73,7 +73,7 @@ def render_report(run: Run, outdir: str) -> list[str]:
         "recommendations": run.recommendations,
     }
     path = out / "report.json"
-    with open_fresh(path) as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, ensure_ascii=True)
         fh.write("\n")
     written.append(str(path))
@@ -82,14 +82,14 @@ def render_report(run: Run, outdir: str) -> list[str]:
             ("metrics_table.csv", METRICS_CSV_HEADER, metrics_table(run)),
             ("ap_table.csv", AP_CSV_HEADER, ap_table(run))):
         path = out / name
-        with open_fresh(path, newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
         written.append(str(path))
 
     path = out / "report.html"
-    with open_fresh(path) as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(_render_html(run))
     written.append(str(path))
     return written

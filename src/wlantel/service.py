@@ -8,15 +8,23 @@ The server is plain `socket` and `threading`.  `serve_forever` runs a
 fixed pool of POOL_SIZE threads, its caller among them.  Each thread loops:
 accept a connection, read the request head, send one reply, close.  Every
 reply's status line, headers and body are rendered once at start-up; the
-Date header, cached per second, is the only per-request work.  A client
-has TIMEOUT_S to send a head of at most HEAD_LIMIT bytes; a client that
-stalls is closed without a reply, so it holds one thread for TIMEOUT_S at
-most.
+Date header, cached per second, is the only per-request work.
+
+A pool thread gives one connection PATIENCE_S.  A connection that needs
+longer (an idle or slow client, a reply the client reads slowly, or a
+request body to read and discard after the reply) moves to a spare thread
+of its own, so it holds no pool thread.  At most SPARE_LIMIT connections
+are in spare threads at once; past that, such a connection is closed.  A
+client has TIMEOUT_S from its connection's accept for the whole exchange;
+one that stalls is closed, without a reply if its head never ended.  A
+head may be HEAD_LIMIT bytes at most.
 
 Replies: GET on an endpoint is 200 and on any other path 404; POST, PUT,
 DELETE and PATCH are 405; any other method, HEAD included, is 501; a
-malformed request line is 400 and a head past HEAD_LIMIT is 431.  Request
-lines may end in CRLF or a bare LF.  Every reply closes its connection.
+malformed request line, or a GET target that does not parse as a URL, is
+400; a head past HEAD_LIMIT is 431.  Request lines may end in CRLF or a
+bare LF.  Every reply closes its connection.  An unexpected fault in one
+exchange is printed to stderr and closes that connection only.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import json
 import re
 import socket
+import sys
 import threading
 import time
 from urllib.parse import urlsplit
@@ -35,6 +44,8 @@ from .pipeline import Run, load_run  # noqa: F401
 POOL_SIZE = 8
 HEAD_LIMIT = 64 * 1024
 TIMEOUT_S = 5.0
+PATIENCE_S = 0.05
+SPARE_LIMIT = 64
 
 TEXT = "text/plain; charset=utf-8"
 
@@ -126,15 +137,37 @@ def _http_date(now: int) -> bytes:
             f"{t.tm_year} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT").encode("ascii")
 
 
-def _send(conn: socket.socket, buffers: list) -> None:
-    """Send every buffer, in one sendmsg unless the socket takes less."""
-    sent = conn.sendmsg(buffers)
-    for buf in buffers:
-        if sent >= len(buf):
-            sent -= len(buf)
-        else:
-            conn.sendall(memoryview(buf)[sent:])
-            sent = 0
+def _unsent(buffers: list, sent: int) -> list:
+    """What is left of ``buffers`` once their first ``sent`` bytes have gone."""
+    for i, buf in enumerate(buffers):
+        if sent < len(buf):
+            return [memoryview(buf)[sent:], *buffers[i + 1:]]
+        sent -= len(buf)
+    return []
+
+
+def _wait(conn: socket.socket, until: float) -> bool:
+    """Let ``conn``'s next call block until ``until``; False if that has passed."""
+    remaining = until - time.monotonic()
+    if remaining <= 0:
+        return False
+    conn.settimeout(remaining)
+    return True
+
+
+class _Exchange:
+    """One connection's progress, so that a spare thread can take it over:
+    the head read so far, then the reply still to send, then whether the
+    request's leftover bytes are still to be read."""
+
+    __slots__ = ("conn", "deadline", "data", "out", "drain")
+
+    def __init__(self, conn: socket.socket):
+        self.conn = conn
+        self.deadline = time.monotonic() + TIMEOUT_S
+        self.data = b""
+        self.out = None  # the buffers still to send, once the head is read
+        self.drain = False
 
 
 class Server:
@@ -154,6 +187,7 @@ class Server:
         self._stopping = False
         self._stopped = threading.Event()  # set whenever serve_forever is not running
         self._stopped.set()
+        self._spares = threading.BoundedSemaphore(SPARE_LIMIT)
         self._date = (0, b"")
 
     def serve_forever(self) -> None:
@@ -166,8 +200,7 @@ class Server:
                 worker.start()
             self._work()
         finally:
-            if not self._stopping:
-                self._stop()
+            self._stop()
             for worker in workers:
                 if worker.is_alive():
                     worker.join()
@@ -182,16 +215,13 @@ class Server:
         self.socket.close()
 
     def _stop(self) -> None:
-        """Set the stop flag, then wake each thread blocked in accept with a
-        connection of its own."""
+        """Set the stop flag and shut the listening socket down, which on
+        Linux fails every accept that is blocked on it."""
         self._stopping = True
-        host, port = self.server_address[:2]
-        for _ in range(POOL_SIZE):
-            try:
-                socket.create_connection((host if host != "0.0.0.0" else "127.0.0.1", port),
-                                         timeout=1.0).close()
-            except OSError:
-                break
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already shut down, or closed
 
     def _work(self) -> None:
         while not self._stopping:
@@ -201,24 +231,72 @@ class Server:
                 if self.socket.fileno() < 0:
                     return
                 continue
-            with conn:
-                try:
-                    self._handle(conn)
-                except OSError:
-                    pass  # a reset, a timeout or a stalled client: just close
+            exchange = _Exchange(conn)
+            if self._advance(exchange, time.monotonic() + PATIENCE_S) or \
+                    not self._to_spare(exchange):
+                conn.close()
 
-    def _handle(self, conn: socket.socket) -> None:
-        deadline = time.monotonic() + TIMEOUT_S
-        data = b""
-        while (blank := END_OF_HEAD.search(data)) is None and len(data) <= HEAD_LIMIT:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            conn.settimeout(remaining)
-            chunk = conn.recv(8192)
-            if not chunk:
-                return
-            data += chunk
+    def _to_spare(self, exchange: _Exchange) -> bool:
+        """Finish ``exchange`` in a thread of its own, unless SPARE_LIMIT
+        such threads are running."""
+        if not self._spares.acquire(blocking=False):
+            return False
+        try:
+            threading.Thread(target=self._finish, args=(exchange,), daemon=True).start()
+        except RuntimeError:  # the system has no thread to give
+            self._spares.release()
+            return False
+        return True
+
+    def _finish(self, exchange: _Exchange) -> None:
+        try:
+            self._advance(exchange, exchange.deadline)
+        finally:
+            exchange.conn.close()
+            self._spares.release()
+
+    def _advance(self, exchange: _Exchange, until: float) -> bool:
+        """Carry ``exchange`` on until it is over (True) or until ``until``
+        comes first (False).  Reading the head, sending the reply and
+        draining each stop at ``until``."""
+        conn = exchange.conn
+        try:
+            while exchange.out is None:
+                blank = END_OF_HEAD.search(exchange.data)
+                if blank is not None or len(exchange.data) > HEAD_LIMIT:
+                    exchange.out, exchange.drain = self._reply(exchange.data, blank)
+                elif not _wait(conn, until):
+                    return False
+                elif chunk := conn.recv(8192):
+                    exchange.data += chunk
+                else:
+                    return True  # the client closed before its head ended
+            while exchange.out:
+                if not _wait(conn, until):
+                    return False
+                exchange.out = _unsent(exchange.out, conn.sendmsg(exchange.out))
+                if not exchange.out and exchange.drain:
+                    # Close our side, then read what the client still sends:
+                    # closing with unread bytes would reset the connection and
+                    # could discard the reply before the client reads it.
+                    conn.shutdown(socket.SHUT_WR)
+            while exchange.drain:
+                if not _wait(conn, until):
+                    return False
+                exchange.drain = bool(conn.recv(65536))
+        except TimeoutError:
+            return False
+        except OSError:
+            pass  # a reset: the exchange is over
+        except Exception:  # a fault costs its own connection, not a thread
+            import traceback  # here, so that the CLI's imports leave it out
+            print("wlantel serve: internal error on a request:", file=sys.stderr)
+            traceback.print_exc()
+        return True
+
+    def _reply(self, data: bytes, blank) -> tuple:
+        """The buffers of the reply to request head ``data``, and whether
+        bytes past the head (a body, say) may follow and must be drained."""
         end = blank.end() if blank else len(data)
         if end > HEAD_LIMIT:
             reply, method = HEAD_TOO_LARGE, None
@@ -230,9 +308,7 @@ class Server:
             date = b"Date: " + _http_date(now) + b"\r\n\r\n"
             self._date = (now, date)
         head, body = reply
-        _send(conn, [head, date, body])
-        if method != b"GET" or len(data) > end:
-            _drain(conn)
+        return [head, date, body], method != b"GET" or len(data) > end
 
     def _reply_to(self, line: bytes) -> tuple:
         """The reply to a request line, and its method (None if malformed)."""
@@ -240,21 +316,13 @@ class Server:
         if request is None:
             return BAD_REQUEST, None
         method, target = request.groups()
-        if method == b"GET":
-            return self._routes.get(urlsplit(target.decode("ascii")).path, NOT_FOUND), method
-        return (READ_ONLY if method in WRITE_METHODS else NOT_IMPLEMENTED), method
-
-
-def _drain(conn: socket.socket) -> None:
-    """Close our side, then read what the client still sends for up to
-    TIMEOUT_S: closing with unread bytes would reset the connection and
-    could discard the reply before the client reads it."""
-    conn.shutdown(socket.SHUT_WR)
-    deadline = time.monotonic() + TIMEOUT_S
-    while (remaining := deadline - time.monotonic()) > 0:
-        conn.settimeout(remaining)
-        if not conn.recv(65536):
-            return
+        if method != b"GET":
+            return (READ_ONLY if method in WRITE_METHODS else NOT_IMPLEMENTED), method
+        try:
+            path = urlsplit(target.decode("ascii")).path
+        except ValueError:  # e.g. "//[", an unterminated IPv6 host
+            return BAD_REQUEST, None
+        return self._routes.get(path, NOT_FOUND), method
 
 
 def make_server(snapshot: Run, addr: str = "127.0.0.1:8080") -> Server:

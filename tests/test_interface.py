@@ -12,6 +12,7 @@ import http.client
 import json
 import os
 import re
+import select
 import socket
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from wlantel.cli import _build_parser, main
 from wlantel.ingest import SALT_ENV_VAR
 from wlantel.pipeline import load_run, save_run
 from wlantel.report import AP_CSV_HEADER, METRICS_CSV_HEADER, render_report
-from wlantel.service import HEAD_LIMIT, make_server, metrics_exposition
+from wlantel.service import HEAD_LIMIT, POOL_SIZE, make_server, metrics_exposition
 
 TEST_SALT_HEX = "00112233445566778899aabbccddeeff"
 
@@ -647,6 +648,8 @@ REPLY_CASES = {
     "two-spaces": (b"GET  /healthz HTTP/1.1\r\n\r\n", 400),
     "not-http": (b"GET /healthz FTP/1.1\r\n\r\n", 400),
     "blank-line": (b"\r\n\r\n", 400),
+    "target-bad-ipv6": (b"GET //[ HTTP/1.1\r\n\r\n", 400),
+    "target-bad-absolute": (b"GET http://[x/ HTTP/1.1\r\n\r\n", 400),
     "head-at-limit": (_head_of(HEAD_LIMIT), 200),
     "head-past-limit": (_head_of(HEAD_LIMIT + 1), 431),
     "line-past-limit": (b"GET /" + b"a" * HEAD_LIMIT + b" HTTP/1.1\r\n\r\n", 431),
@@ -657,7 +660,9 @@ REPLY_CASES = {
 def test_reply_status(case, server):
     request, expected = REPLY_CASES[case]
     port = int(server.rsplit(":", 1)[1])
+    t0 = time.perf_counter()
     status, headers, body = exchange(port, request)
+    assert time.perf_counter() - t0 < 2.0  # closed at once, not at the timeout
     assert status == expected, body
     assert headers["Connection"] == "close"
     assert headers["Date"].endswith(" GMT")
@@ -676,6 +681,69 @@ def test_stalled_client_delays_no_one_and_is_closed(snapshot, monkeypatch, sent)
             assert time.perf_counter() - t0 < 1.0
             assert stalled.recv(1024) == b""  # closed, with no reply
             assert time.perf_counter() - t0 >= 0.9
+
+
+def test_idle_connections_hold_no_pool_thread(snapshot, monkeypatch):
+    """Twice POOL_SIZE connections that send nothing, and POOL_SIZE that
+    stay open after their 405, each cost a pool thread PATIENCE_S at most;
+    they are closed when their TIMEOUT_S is up."""
+    monkeypatch.setattr(service, "TIMEOUT_S", 2.0)
+    with serving(snapshot) as port, contextlib.ExitStack() as stack:
+        t0 = time.perf_counter()
+        held = [stack.enter_context(socket.create_connection(("127.0.0.1", port), timeout=10))
+                for _ in range(3 * POOL_SIZE)]
+        for conn in held[2 * POOL_SIZE:]:
+            conn.sendall(b"POST /metrics HTTP/1.1\r\nContent-Length: 9\r\n\r\nx")
+        assert exchange(port, b"GET /healthz HTTP/1.1\r\n\r\n")[0] == 200
+        assert time.perf_counter() - t0 < 1.0
+        for conn in held:
+            while conn.recv(65536):  # a 405, then the close; or the close alone
+                pass
+        assert time.perf_counter() - t0 >= 1.9
+
+
+def test_connections_past_the_spare_limit_are_closed(snapshot, monkeypatch):
+    monkeypatch.setattr(service, "SPARE_LIMIT", 2)
+    monkeypatch.setattr(service, "TIMEOUT_S", 3.0)
+    with serving(snapshot) as port, contextlib.ExitStack() as stack:
+        idle = [stack.enter_context(socket.create_connection(("127.0.0.1", port), timeout=10))
+                for _ in range(5)]
+        closed: set = set()
+        deadline = time.perf_counter() + 2.0
+        while len(closed) < 3 and time.perf_counter() < deadline:
+            readable, _, _ = select.select([c for c in idle if c not in closed], [], [], 0.1)
+            for conn in readable:
+                assert conn.recv(1024) == b""
+                closed.add(conn)
+        assert len(closed) == 3  # the two in spare threads wait for their timeout
+        assert exchange(port, b"GET /healthz HTTP/1.1\r\n\r\n")[0] == 200
+        assert not select.select([c for c in idle if c not in closed], [], [], 0.2)[0]
+
+
+def test_bad_targets_leave_the_pool_whole(server):
+    port = int(server.rsplit(":", 1)[1])
+    for _ in range(2 * POOL_SIZE):
+        for target in (b"//[", b"http://[x/"):
+            assert exchange(port, b"GET " + target + b" HTTP/1.1\r\n\r\n")[0] == 400
+    assert sum(t.name.startswith("wlantel-serve-") for t in threading.enumerate()) \
+        == POOL_SIZE - 1
+    assert exchange(port, b"GET /healthz HTTP/1.1\r\n\r\n")[0] == 200
+
+
+def test_a_fault_costs_its_own_connection_only(snapshot, monkeypatch, capfd):
+    def broken(self, line):
+        raise RuntimeError("broken")
+
+    with serving(snapshot) as port:
+        monkeypatch.setattr(service.Server, "_reply_to", broken)
+        for _ in range(2 * POOL_SIZE):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+                conn.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert conn.recv(1024) == b""  # closed, with no reply
+        monkeypatch.undo()
+        assert exchange(port, b"GET /healthz HTTP/1.1\r\n\r\n")[0] == 200
+    err = capfd.readouterr().err
+    assert "internal error on a request:" in err and "RuntimeError: broken" in err
 
 
 def test_post_with_a_body_gets_405_without_a_reset(server):
